@@ -1,8 +1,9 @@
 """Command line front end.
 
 Expression grammar:  sig ("x" | "⊗" sig)* ("->" sig)?   with
-sig = "(" int ("," int)* ")".  Exit codes: 0 success, 1 usage error,
-2 expression/parse error, 3 failed internal self-check.
+sig = "(" int ("," int)* ")".  Exit codes: 0 success, 1 usage error
+(including a signature with a negative entry, which every subcommand
+rejects), 2 expression/parse error, 3 failed internal self-check.
 """
 
 from __future__ import annotations
@@ -132,6 +133,15 @@ def _build_parser():
     return p
 
 
+def _parse_nonnegative(text: str):
+    """parse_expression, then reject a negative entry in any signature."""
+    factors, target = parse_expression(text)
+    for s in factors + ([] if target is None else [target]):
+        if any(x < 0 for x in s.entries):
+            raise _UsageError(f"signatures must be nonnegative, got {s}")
+    return factors, target
+
+
 def _require_target(target):
     if target is None:
         raise _UsageError("this command needs a '-> (target)' clause")
@@ -170,7 +180,7 @@ def _factor_state_monomials(problem: TensorProblem):
 
 
 def _cmd_decompose(args):
-    factors, target = parse_expression(args.expr)
+    factors, target = _parse_nonnegative(args.expr)
     if target is not None:
         raise _UsageError("decompose takes no target; use multiplicity")
     k = args.k if args.k is not None else sum(f.length for f in factors)
@@ -184,7 +194,7 @@ def _cmd_decompose(args):
 
 
 def _cmd_multiplicity(args):
-    factors, target = parse_expression(args.expr)
+    factors, target = _parse_nonnegative(args.expr)
     _require_target(target)
     m = weyl_calculus.multiplicity(factors, target)
     print(json.dumps({"multiplicity": m}) if args.json else m)
@@ -192,7 +202,7 @@ def _cmd_multiplicity(args):
 
 
 def _cmd_stabilize(args):
-    factors, target = parse_expression(args.expr)
+    factors, target = _parse_nonnegative(args.expr)
     if target is not None:
         raise _UsageError("stabilize takes no target")
     k = weyl_calculus.stabilization_index(factors)
@@ -201,7 +211,7 @@ def _cmd_stabilize(args):
 
 
 def _cmd_invariants(args):
-    factors, target = parse_expression(args.expr)
+    factors, target = _parse_nonnegative(args.expr)
     _require_target(target)
     problem = TensorProblem.build(factors, target, k=args.k)
     basis = invariant_basis(problem)
@@ -227,7 +237,7 @@ def _cmd_invariants(args):
 
 
 def _cmd_cgc(args):
-    factors, target = parse_expression(args.expr)
+    factors, target = _parse_nonnegative(args.expr)
     _require_target(target)
     problem = TensorProblem.build(factors, target, k=args.k)
     basis = invariant_basis(problem)

@@ -50,7 +50,10 @@ class SpanViolation(CalculusError):
 
 
 class SelfCheckError(CalculusError):
-    """The invariant-basis dimension disagrees with the Weyl multiplicity."""
+    """An internal self-check failed: the invariant-basis dimension disagrees
+    with the Weyl multiplicity, a multiplier spectrum has a negative
+    multiplicity, the stabilization search overran its bound, or the
+    Schur decomposition did not terminate."""
 
 
 class ExpressionSyntaxError(CalculusError):

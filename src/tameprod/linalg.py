@@ -1,4 +1,10 @@
-"""Small exact linear algebra helpers over the rationals."""
+"""Small exact linear algebra helpers over the rationals.
+
+rref, rank, nullspace_primitive and solve_dict_system share one sparse,
+fraction-free Gauss-Jordan elimination over the integers; each row is kept
+primitive by its gcd, as in the one-step form of Bareiss (Math. Comp. 22,
+1968), so no Fraction arithmetic happens inside it.
+"""
 
 from __future__ import annotations
 
@@ -58,58 +64,121 @@ def contragredient_matrix(g):
     return transpose(invert(g))
 
 
-def rref(matrix):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    rows = [[Fraction(x) for x in row] for row in matrix if any(row)]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot is None:
+def _integer_rows(matrix):
+    """Distinct nonzero rows as primitive {col: int} dicts, leading entry > 0.
+
+    Each row is cleared of denominators by their lcm and divided by the gcd
+    of its entries, so rows that are rational multiples of each other
+    coincide and are kept once.
+    """
+    seen = {}
+    for row in matrix:
+        entries = {c: x for c, x in enumerate(row) if x}
+        if not entries:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+        den = lcm(*(x.denominator for x in entries.values()))
+        ints = {c: x.numerator * (den // x.denominator) for c, x in entries.items()}
+        ints = _primitive(ints)
+        if next(iter(ints.values())) < 0:
+            ints = {c: -x for c, x in ints.items()}
+        seen.setdefault(tuple(ints.items()), ints)
+    return list(seen.values())
+
+
+def _primitive(row):
+    g = gcd(*row.values())
+    return row if g == 1 else {c: x // g for c, x in row.items()}
+
+
+def _eliminate(row, pivot_row, col):
+    """a*row - b*pivot_row with column col cancelled, made primitive."""
+    g = gcd(row[col], pivot_row[col])
+    a, b = pivot_row[col] // g, row[col] // g
+    out = {c: a * x for c, x in row.items()} if a != 1 else dict(row)
+    for c, x in pivot_row.items():
+        y = out.get(c, 0) - b * x
+        if y:
+            out[c] = y
+        else:
+            del out[c]
+    return _primitive(out) if out else out
+
+
+def _reduced_echelon(matrix):
+    """Sparse fraction-free Gauss-Jordan elimination over the integers.
+
+    Returns {pivot column: row}, each row a primitive {col: int} dict with
+    a positive entry in its pivot column, which is its leading column, and
+    zeros in every other pivot column.  Row i of the reduced row echelon
+    form of `matrix` is the i-th of these rows (by pivot column) divided by
+    its pivot entry.
+    """
+    pivots = {}
+    for row in _integer_rows(matrix):
+        # pivot rows are zero in each other's pivot columns, so clearing one
+        # pivot column brings in no other and a single pass clears them all
+        for pc in [c for c in row if c in pivots]:
+            row = _eliminate(row, pivots[pc], pc)
+        if not row:
+            continue
+        col = min(row)
+        if row[col] < 0:
+            row = {c: -x for c, x in row.items()}
+        for c, other in pivots.items():
+            if col in other:
+                pivots[c] = _eliminate(other, row, col)
+        pivots[col] = row
+    return dict(sorted(pivots.items()))
+
+
+def rref(matrix):
+    """Reduced row echelon form; returns (rows, pivot_columns).
+
+    Rows are lists of Fractions with 1 in their pivot column.
+    """
+    echelon = _reduced_echelon(matrix)
+    if not echelon:
+        return [], []
+    ncols = len(matrix[0])
+    rows = [
+        [Fraction(row.get(c, 0), row[pc]) for c in range(ncols)]
+        for pc, row in echelon.items()
+    ]
+    return rows, list(echelon)
 
 
 def rank(matrix) -> int:
-    return len(rref(matrix)[0])
+    return len(_reduced_echelon(matrix))
 
 
 def nullspace_primitive(matrix, ncols: int):
     """Basis of the nullspace as primitive integer vectors.
 
     Each vector has coprime entries and positive first nonzero entry;
-    `matrix` may be empty (nullspace is all of Q^ncols).
+    `matrix` may be empty (nullspace is all of Q^ncols).  There is one
+    vector per free column, in increasing order of that column.
     """
-    rows, pivots = rref([row for row in matrix if any(row)])
-    free = [c for c in range(ncols) if c not in pivots]
+    echelon = _reduced_echelon(matrix)
+    by_free = {}
+    for pc, row in echelon.items():
+        for c, x in row.items():
+            if c != pc:
+                by_free.setdefault(c, []).append((pc, x, row[pc]))
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
-        mult = lcm(*(x.denominator for x in vec)) if ncols else 1
-        ints = [int(x * mult) for x in vec]
-        g = gcd(*ints) if any(ints) else 1
-        ints = [x // g for x in ints]
-        lead = next((x for x in ints if x), 1)
+    for fc in range(ncols):
+        if fc in echelon:
+            continue
+        entries = by_free.get(fc, [])
+        scale = lcm(*(p for _, _, p in entries))
+        vec = [0] * ncols
+        vec[fc] = scale
+        for pc, x, p in entries:
+            vec[pc] = -x * (scale // p)
+        g = gcd(*vec)
+        lead = next(x for x in vec if x)
         if lead < 0:
-            ints = [-x for x in ints]
-        basis.append(tuple(ints))
+            g = -g
+        basis.append(tuple(x // g for x in vec))
     return basis
 
 
@@ -124,7 +193,7 @@ def solve_dict_system(basis_dicts, target_dict):
     keys = sorted(keys)
     n = len(basis_dicts)
     aug = [
-        [Fraction(d.get(key, 0)) for d in basis_dicts] + [Fraction(target_dict.get(key, 0))]
+        [d.get(key, 0) for d in basis_dicts] + [target_dict.get(key, 0)]
         for key in keys
     ]
     rows, pivots = rref(aug)

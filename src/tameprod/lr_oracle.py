@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import NotDominant, NotSymmetric, RankTooSmall
+from .errors import NotDominant, NotSymmetric, RankTooSmall, SelfCheckError
 from .signatures import Signature, SignedSpectrum
 
 
@@ -74,7 +74,8 @@ def schur_decompose(p: dict, k: int) -> SignedSpectrum:
     guard = 0
     while work:
         guard += 1
-        assert guard < 1_000_000, "schur_decompose failed to terminate"
+        if guard >= 1_000_000:
+            raise SelfCheckError("schur_decompose failed to terminate")
         lead = max(work)
         t = lead
         while t and t[-1] == 0:

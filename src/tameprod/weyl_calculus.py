@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations
 
-from .errors import EmptyProduct, NotDominant, RankTooSmall
+from .errors import EmptyProduct, NotDominant, RankTooSmall, SelfCheckError
 from .signatures import Signature, SignedSpectrum
 
 
@@ -96,7 +96,8 @@ def compound_multiplier(alpha: Signature, beta: Signature, k: int) -> SignedSpec
         for s, m in spec.items():
             total[s] = total.get(s, 0) + sign * m
     result = SignedSpectrum(total)
-    assert result.is_nonnegative(), f"negative multiplicity in {alpha} x {beta} at k={k}"
+    if not result.is_nonnegative():
+        raise SelfCheckError(f"negative multiplicity in {alpha} x {beta} at k={k}")
     return result
 
 
@@ -130,7 +131,8 @@ def stabilization_index(factors) -> int:
         nxt = tensor_decompose(factors, k + 1)
         if nxt == prev:
             return k
-        assert k < bound, "stabilization bound exceeded"
+        if k >= bound:
+            raise SelfCheckError(f"spectrum still changing past the bound k={bound}")
         prev = nxt
         k += 1
 

@@ -163,6 +163,22 @@ class TestExitCodes:
         assert code == 3
         assert "self-check" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("decompose", "(-1)"),
+            ("stabilize", "(-1)x(1)"),
+            ("multiplicity", "(-1)->(-1)"),
+            ("invariants", "(1)x(-1)->(1)"),
+            ("cgc", "(1)x(1)->(-2)"),
+        ],
+    )
+    def test_negative_signature_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "signatures must be nonnegative" in err
+
     def test_rank_too_small_usage(self, capsys):
         code, _, _ = run(capsys, "decompose", "(2,1)", "--k", "1")
         assert code == 1

@@ -21,6 +21,7 @@ from tameprod.invariants import (
     unipotent_generators,
 )
 from tameprod.linalg import rref
+from tameprod.lr_oracle import schur_product_decompose
 from tameprod.polynomials import MultiPoly, act_rows, wvar, zvar
 from tameprod.signatures import sig
 from tameprod.weyl_calculus import multiplicity
@@ -229,6 +230,18 @@ class TestInvariantBasis:
         monkeypatch.setattr("tameprod.weyl_calculus.multiplicity", lambda *a, **k: 99)
         with pytest.raises(SelfCheckError):
             invariant_basis(worked_problem())
+
+    def test_large_system_matches_oracle(self):
+        # 6539 constraint rows on 1363 exponent matrices, nullity 8
+        factors, target = [sig(3, 2, 1), sig(2, 1), sig(1)], sig(4, 3, 2, 1)
+        prob = TensorProblem.build(factors, target)
+        basis = invariant_basis(prob)
+        # a tableau multiplicity is stable once k reaches the target's length
+        assert basis.dimension == 8 == schur_product_decompose(factors, target.length)[target]
+        for row in unipotent_constraints(prob, basis.monomials):
+            entries = [(j, x) for j, x in enumerate(row) if x]
+            for vec in basis.vectors:
+                assert sum(x * vec[j] for j, x in entries) == 0
 
 
 class TestExpandedInvariants:

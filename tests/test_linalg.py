@@ -1,0 +1,119 @@
+from fractions import Fraction
+from math import gcd
+
+from hypothesis import given, settings, strategies as st
+
+from tameprod.linalg import nullspace_primitive, rank, rref, solve_dict_system
+
+ENTRY = st.one_of(
+    st.just(0),
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+NONZERO = st.fractions(min_value=-5, max_value=5, max_denominator=5).filter(bool)
+
+
+@st.composite
+def matrices(draw, max_rows=7, max_cols=6):
+    """(rows, ncols): possibly empty, with rows of int and Fraction entries."""
+    ncols = draw(st.integers(1, max_cols))
+    row = st.one_of(
+        st.lists(ENTRY, min_size=ncols, max_size=ncols),
+        st.just([0] * ncols),
+    )
+    return draw(st.lists(row, max_size=max_rows)), ncols
+
+
+def dot(row, vec):
+    return sum(x * y for x, y in zip(row, vec))
+
+
+class TestNullspace:
+    def test_empty_matrix(self):
+        assert nullspace_primitive([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        assert rank([]) == 0
+        assert rref([]) == ([], [])
+
+    def test_all_zero_matrix(self):
+        zero = [[0, 0], [Fraction(0), 0]]
+        assert nullspace_primitive(zero, 2) == [(1, 0), (0, 1)]
+        assert rank(zero) == 0
+        assert rref(zero) == ([], [])
+
+    def test_clears_denominators(self):
+        rows = [[Fraction(1, 2), Fraction(-1, 3), 0]]
+        assert nullspace_primitive(rows, 3) == [(2, 3, 0), (0, 0, 1)]
+
+    @given(matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_vectors_killed_primitive_positive(self, case):
+        rows, ncols = case
+        basis = nullspace_primitive(rows, ncols)
+        assert len(basis) + rank(rows) == ncols
+        for vec in basis:
+            assert len(vec) == ncols
+            assert all(type(x) is int for x in vec)
+            assert all(dot(row, vec) == 0 for row in rows)
+            assert gcd(*vec) == 1
+            assert next(x for x in vec if x) > 0
+
+
+class TestRref:
+    @given(matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_reduced_form(self, case):
+        rows, ncols = case
+        reduced, pivots = rref(rows)
+        assert pivots == sorted(set(pivots))
+        assert len(reduced) == len(pivots) == rank(rows)
+        for i, (row, pc) in enumerate(zip(reduced, pivots)):
+            assert len(row) == ncols
+            assert not any(row[:pc])
+            for j, other in enumerate(pivots):
+                assert row[other] == (1 if i == j else 0)
+        # the input rows lie in the span of the reduced rows
+        for row in rows:
+            combo = [sum(row[pc] * r[c] for pc, r in zip(pivots, reduced)) for c in range(ncols)]
+            assert combo == list(row)
+
+    @given(matrices(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_invariant_under_row_operations(self, case, data):
+        rows, ncols = case
+        expected = rref(rows)
+        shuffled = data.draw(st.permutations(rows))
+        if rows:
+            shuffled += data.draw(st.lists(st.sampled_from(rows), max_size=3))
+        assert rref(shuffled) == expected
+        if not rows:
+            return
+        i = data.draw(st.integers(0, len(rows) - 1))
+        scale = data.draw(NONZERO)
+        scaled = [list(r) for r in rows]
+        scaled[i] = [scale * x for x in scaled[i]]
+        assert rref(scaled) == expected
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+        combo = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols)]
+        assert rref(rows + [combo]) == expected
+
+
+class TestSolveDictSystem:
+    @given(matrices(max_rows=4), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_recovers_combination(self, case, data):
+        rows, ncols = case
+        basis = [{f"e{j}": x for j, x in enumerate(r) if x} for r in rows]
+        coeffs = data.draw(st.lists(NONZERO, min_size=len(rows), max_size=len(rows)))
+        target = {}
+        for c, d in zip(coeffs, basis):
+            for key, x in d.items():
+                target[key] = target.get(key, 0) + c * x
+        target = {key: x for key, x in target.items() if x}
+        sol = solve_dict_system(basis, target)
+        assert sol is not None
+        for j in range(ncols):
+            assert sum(s * d.get(f"e{j}", 0) for s, d in zip(sol, basis)) == target.get(f"e{j}", 0)
+        if rank(rows) == len(rows):
+            assert sol == coeffs
+        target["outside"] = 1
+        assert solve_dict_system(basis, target) is None

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_signature
-from tameprod.errors import EmptyProduct, RankTooSmall
+from tameprod import weyl_calculus
+from tameprod.errors import EmptyProduct, RankTooSmall, SelfCheckError
 from tameprod.lr_oracle import schur_product_decompose
 from tameprod.signatures import SignedSpectrum, sig
 from tameprod.weyl_calculus import (
@@ -67,6 +68,23 @@ class TestCompoundMultiplier:
     def test_symmetry(self):
         a, b = sig(2, 1), sig(3)
         assert compound_multiplier(a, b, 3) == compound_multiplier(b, a, 3)
+
+    def test_negative_multiplicity_is_self_check_error(self, monkeypatch):
+        # compound_multiplier folds _apply_simple directly, not the cached
+        # simple_multiplier; dropping order 1 leaves only the negative term
+        # of the 2x2 determinant for (1,1) x (1)
+        real = weyl_calculus._apply_simple
+        monkeypatch.setattr(
+            weyl_calculus,
+            "_apply_simple",
+            lambda order, beta, k: iter(()) if order == 1 else real(order, beta, k),
+        )
+        compound_multiplier.cache_clear()
+        try:
+            with pytest.raises(SelfCheckError):
+                compound_multiplier(sig(1, 1), sig(1), 3)
+        finally:
+            compound_multiplier.cache_clear()
 
 
 class TestTensorDecompose:
