@@ -16,27 +16,12 @@ from tameprod.invariants import (
     invariant_basis,
     unipotent_constraints,
 )
-from tameprod.polynomials import MultiPoly, Var
+from tameprod.polynomials import weight_monomials
 from tameprod.signatures import sig
 from tameprod.weyl_calculus import stabilization_index, tensor_decompose
 
 FACTORS = [sig(1), sig(2), sig(2), sig(3)]
 TARGET = sig(7, 1)
-
-
-def weight_monomials(row, degree, cmax):
-    """Single-row monomials Z[row, c1] * ... of the given degree, c <= cmax."""
-    out = []
-
-    def rec(start, left, acc):
-        if left == 0:
-            out.append(acc)
-            return
-        for c in range(start, cmax + 1):
-            rec(c, left - 1, acc * MultiPoly.variable(Var("Z", row, c)))
-
-    rec(1, degree, MultiPoly.const(1))
-    return out
 
 
 def main():
@@ -66,8 +51,8 @@ def main():
     f_star = lowest_weight_vector_check(TARGET, prob.q)
     print(f"dual lowest-weight vector: {f_star}")
     per_factor = [
-        weight_monomials(1 + prob.row_offsets[i], sum(f.entries), prob.q)
-        for i, f in enumerate(prob.factors)
+        weight_monomials("Z", f.entries, prob.q, row_offset=off)
+        for f, off in zip(prob.factors, prob.row_offsets)
     ]
     grid = list(iproduct(*per_factor))
     shown = 0

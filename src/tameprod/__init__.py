@@ -14,7 +14,6 @@ from .cg_coefficients import (
     verify_equivariance,
 )
 from .contragredient import (
-    ReversalMatrix,
     highest_weight_vector,
     lowest_weight_vector_check,
     negate_signature,
@@ -33,7 +32,7 @@ from .invariants import (
     unipotent_constraints,
 )
 from .polynomials import MultiPoly, Var, act_cols, act_rows, apply_diff, wvar, zvar
-from .signatures import Signature, SignedSpectrum, interleaves, normalize, pad, sig
+from .signatures import Signature, SignedSpectrum, interleaves, normalize, sig
 from .weyl_calculus import (
     compound_multiplier,
     multiplicity,
@@ -48,7 +47,6 @@ __all__ = [
     "ExponentMatrix",
     "InvariantBasis",
     "MultiPoly",
-    "ReversalMatrix",
     "Signature",
     "SignedSpectrum",
     "TensorProblem",
@@ -70,7 +68,6 @@ __all__ = [
     "multiplicity",
     "negate_signature",
     "normalize",
-    "pad",
     "pair",
     "pair_truncated",
     "reversal",

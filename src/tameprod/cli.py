@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import combinations_with_replacement, product as iproduct
+from itertools import product as iproduct
 
-from . import invariants, weyl_calculus
+from . import weyl_calculus
 from .cg_coefficients import cg_coefficient
 from .contragredient import lowest_weight_vector_check
 from .errors import (
@@ -24,7 +24,7 @@ from .errors import (
     SelfCheckError,
 )
 from .invariants import TensorProblem, invariant_basis
-from .polynomials import MultiPoly, zvar
+from .polynomials import weight_monomials
 from .signatures import normalize
 
 
@@ -122,13 +122,11 @@ def _build_parser():
 
     v = sub.add_parser("invariants", help="basis of covariants for the target")
     v.add_argument("expr")
-    v.add_argument("--k", type=int, default=None)
     v.add_argument("--json", action="store_true")
     v.add_argument("--show-polynomials", action="store_true")
 
     c = sub.add_parser("cgc", help="Clebsch-Gordan coefficient table")
     c.add_argument("expr")
-    c.add_argument("--k", type=int, default=None)
     c.add_argument("--json", action="store_true")
     return p
 
@@ -145,38 +143,6 @@ def _parse_nonnegative(text: str):
 def _require_target(target):
     if target is None:
         raise _UsageError("this command needs a '-> (target)' clause")
-
-
-def _mono_label(poly: MultiPoly) -> str:
-    return str(poly)
-
-
-def _factor_state_monomials(problem: TensorProblem):
-    """Per factor, the monomial spanning set with the factor's row degrees,
-    in columns 1..max(1, q)."""
-    cmax = max(1, problem.q)
-    per_factor = []
-    for i, f in enumerate(problem.factors):
-        off = problem.row_offsets[i]
-        row_choices = []
-        for j, deg in enumerate(f.entries, start=1):
-            monos = []
-            for combo in combinations_with_replacement(range(1, cmax + 1), deg):
-                counts: dict = {}
-                for c in combo:
-                    v = zvar(off + j, c)
-                    counts[v] = counts.get(v, 0) + 1
-                monos.append(tuple(sorted(counts.items())))
-            row_choices.append(monos)
-        states = []
-        for pick in iproduct(*row_choices):
-            merged: dict = {}
-            for mono in pick:
-                for v, e in mono:
-                    merged[v] = merged.get(v, 0) + e
-            states.append(MultiPoly({tuple(sorted(merged.items())): 1}))
-        per_factor.append(states)
-    return per_factor
 
 
 def _cmd_decompose(args):
@@ -213,7 +179,7 @@ def _cmd_stabilize(args):
 def _cmd_invariants(args):
     factors, target = _parse_nonnegative(args.expr)
     _require_target(target)
-    problem = TensorProblem.build(factors, target, k=args.k)
+    problem = TensorProblem.build(factors, target)
     basis = invariant_basis(problem)
     obj = basis.to_json_obj()
     kx = max(1, problem.q)
@@ -239,11 +205,14 @@ def _cmd_invariants(args):
 def _cmd_cgc(args):
     factors, target = _parse_nonnegative(args.expr)
     _require_target(target)
-    problem = TensorProblem.build(factors, target, k=args.k)
+    problem = TensorProblem.build(factors, target)
     basis = invariant_basis(problem)
     kx = max(1, problem.q)
     f_star = lowest_weight_vector_check(target, problem.q)
-    per_factor = _factor_state_monomials(problem)
+    per_factor = [
+        weight_monomials("Z", f.entries, kx, row_offset=off)
+        for f, off in zip(problem.factors, problem.row_offsets)
+    ]
     rows = []
     for i in range(basis.dimension):
         inv = basis.element(i, kx)
@@ -252,7 +221,7 @@ def _cmd_cgc(args):
             rows.append(
                 {
                     "invariant": i + 1,
-                    "state": [_mono_label(s) for s in pick],
+                    "state": [str(s) for s in pick],
                     "value": str(value),
                 }
             )

@@ -8,39 +8,16 @@ columns, which on labeled entries reduces to renaming Z[i,j] -> W[i,j].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 
 from .errors import RankTooSmall
+from .linalg import perm_sign
 from .polynomials import MultiPoly, Var, zvar
 from .signatures import Signature, normalize
 
 
-@dataclass(frozen=True)
-class ReversalMatrix:
-    """The anti-diagonal permutation s with s = s^{-1} = s^T."""
-
-    size: int
-
-    def entry(self, i: int, j: int) -> int:
-        return 1 if i + j == self.size + 1 else 0
-
-    @property
-    def rows(self):
-        n = self.size
-        return [[self.entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
-
-    def apply_index(self, i: int) -> int:
-        return self.size + 1 - i
-
-
 def reversal(k: int):
-    return ReversalMatrix(k).rows
-
-
-def _perm_sign(p) -> int:
-    inv = sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
-    return -1 if inv % 2 else 1
+    return [[int(i + j == k - 1) for j in range(k)] for i in range(k)]
 
 
 def _minor_det(rows, cols) -> MultiPoly:
@@ -49,7 +26,7 @@ def _minor_det(rows, cols) -> MultiPoly:
     terms: dict = {}
     for sigma in permutations(range(n)):
         mono = tuple(sorted((zvar(rows[i], cols[sigma[i]]), 1) for i in range(n)))
-        terms[mono] = terms.get(mono, 0) + _perm_sign(sigma)
+        terms[mono] = terms.get(mono, 0) + perm_sign(sigma)
     return MultiPoly(terms)
 
 

@@ -85,7 +85,7 @@ class ExponentMatrix:
 
 @dataclass(frozen=True)
 class TensorProblem:
-    """Factors, target, and the rank everything is computed at.
+    """Factors and target of an invariant problem.
 
     Z rows are allocated in blocks: factor i owns rows
     row_offsets[i]+1 .. row_offsets[i]+len(factor_i); W rows 1..q carry
@@ -94,10 +94,9 @@ class TensorProblem:
 
     factors: tuple[Signature, ...]
     target: Signature
-    k: int
 
     @classmethod
-    def build(cls, factors, target, k=None) -> "TensorProblem":
+    def build(cls, factors, target) -> "TensorProblem":
         factors = tuple(factors)
         if not factors:
             raise DimensionMismatch("a tensor problem needs at least one factor")
@@ -106,10 +105,7 @@ class TensorProblem:
                 raise DimensionMismatch(f"factors must be nonnegative, got {f}")
         if target.entries and target.entries[-1] < 0:
             raise DimensionMismatch(f"target must be nonnegative, got {target}")
-        if k is None:
-            n = sum(f.length for f in factors) + target.length
-            k = max(n, weyl_calculus.stabilization_index(factors))
-        return cls(factors, target, int(k))
+        return cls(factors, target)
 
     @property
     def row_alloc(self):
@@ -152,12 +148,12 @@ class TensorProblem:
                 return i
         raise IndexOutOfRange(f"Z row {row} outside 1..{self.p}")
 
-    def generator(self, alpha: int, beta: int, k: int | None = None) -> MultiPoly:
+    def generator(self, alpha: int, beta: int, k: int) -> MultiPoly:
         if not 1 <= alpha <= self.p:
             raise IndexOutOfRange(f"alpha={alpha} outside 1..{self.p}")
         if not 1 <= beta <= self.q:
             raise IndexOutOfRange(f"beta={beta} outside 1..{self.q}")
-        return generator(alpha, beta, self.k if k is None else k)
+        return generator(alpha, beta, k)
 
 
 def diophantine_solutions(problem: TensorProblem):
@@ -202,10 +198,8 @@ def diophantine_solutions(problem: TensorProblem):
     return out
 
 
-def monomial(problem: TensorProblem, ell: ExponentMatrix, k: int | None = None) -> MultiPoly:
+def monomial(problem: TensorProblem, ell: ExponentMatrix, k: int) -> MultiPoly:
     """Expansion of the generator monomial P^ell at rank k."""
-    if k is None:
-        k = problem.k
     poly = MultiPoly.const(1)
     for a, row in enumerate(ell.rows, start=1):
         for b, e in enumerate(row, start=1):

@@ -64,6 +64,12 @@ def contragredient_matrix(g):
     return transpose(invert(g))
 
 
+def perm_sign(p) -> int:
+    """Sign of a permutation given as a sequence of distinct integers."""
+    inv = sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
+    return -1 if inv % 2 else 1
+
+
 def _integer_rows(matrix):
     """Distinct nonzero rows as primitive {col: int} dicts, leading entry > 0.
 

@@ -8,7 +8,9 @@ rows below in reversed order, matching the block the group acts on.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 from math import factorial
 from typing import NamedTuple
 
@@ -182,15 +184,6 @@ class MultiPoly:
                         best = v.col
         return best
 
-    def max_row(self, matrix: str | None = None) -> int:
-        best = 0
-        for m in self.terms:
-            for v, _ in m:
-                if matrix is None or v.matrix == matrix:
-                    if v.row > best:
-                        best = v.row
-        return best
-
     def constant_term(self):
         return self.terms.get((), 0)
 
@@ -314,6 +307,20 @@ class MultiPoly:
                 c = c.numerator
             terms[mono] = terms.get(mono, 0) + c
         return cls(terms)
+
+
+def weight_monomials(matrix: str, row_degrees, cmax: int, row_offset: int = 0):
+    """All monomials in one matrix whose row row_offset+j has degree
+    row_degrees[j-1], in columns 1..cmax; returned as single-term MultiPoly
+    objects, the last row varying fastest."""
+    per_row = [
+        [
+            tuple(Counter(Var(matrix, row_offset + j, c) for c in combo).items())
+            for combo in combinations_with_replacement(range(1, cmax + 1), deg)
+        ]
+        for j, deg in enumerate(row_degrees, start=1)
+    ]
+    return [MultiPoly({tuple(sorted(sum(pick, ()))): 1}) for pick in product(*per_row)]
 
 
 def apply_diff(p: MultiPoly, f: MultiPoly, over=frozenset({"Z", "W"})) -> MultiPoly:

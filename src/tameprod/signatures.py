@@ -74,10 +74,6 @@ def sig(*entries) -> Signature:
     return normalize(entries)
 
 
-def pad(m: Signature, k: int) -> tuple[int, ...]:
-    return m.pad(k)
-
-
 def interleaves(m: Signature, h: Signature) -> bool:
     """True iff h_i >= m_i >= h_{i+1} for all i, with zero padding."""
     l = max(m.length, h.length)
@@ -139,14 +135,8 @@ class SignedSpectrum:
     def items(self):
         return self._terms.items()
 
-    def support(self):
-        return set(self._terms)
-
     def is_nonnegative(self) -> bool:
         return all(m > 0 for m in self._terms.values())
-
-    def total_multiplicity(self) -> int:
-        return sum(self._terms.values())
 
     def sorted_terms(self):
         """Terms sorted lexicographically descending by signature entries."""

@@ -14,6 +14,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from .errors import EmptyProduct, NotDominant, RankTooSmall, SelfCheckError
+from .linalg import perm_sign
 from .signatures import Signature, SignedSpectrum
 
 
@@ -64,11 +65,6 @@ def simple_multiplier(order: int, beta: Signature, k: int) -> SignedSpectrum:
     return SignedSpectrum(counts)
 
 
-def _perm_sign(p) -> int:
-    inv = sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
-    return -1 if inv % 2 else 1
-
-
 @lru_cache(maxsize=None)
 def compound_multiplier(alpha: Signature, beta: Signature, k: int) -> SignedSpectrum:
     """Decomposition of the product of alpha and beta at rank k."""
@@ -83,7 +79,7 @@ def compound_multiplier(alpha: Signature, beta: Signature, k: int) -> SignedSpec
         orders = [a[i] - i + sigma[i] for i in range(l)]
         if any(o < 0 for o in orders):
             continue
-        sign = _perm_sign(sigma)
+        sign = perm_sign(sigma)
         spec = {beta: 1}
         for order in orders:
             nxt: dict[Signature, int] = {}

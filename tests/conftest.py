@@ -1,10 +1,8 @@
 """Shared helpers for the test suite."""
 
-import random
-from itertools import combinations_with_replacement, product as iproduct
-
 from tameprod.linalg import identity, matmul
-from tameprod.polynomials import MultiPoly, Var, wvar, zvar
+# weight_monomials is re-exported: the tests import it from here
+from tameprod.polynomials import MultiPoly, weight_monomials, wvar, zvar
 from tameprod.signatures import normalize
 
 
@@ -37,26 +35,3 @@ def random_poly(rng, nvars=3, nterms=3, max_exp=3, max_coeff=5, rows=2, cols=2):
         if c:
             terms[mono] = terms.get(mono, 0) + c
     return MultiPoly(terms)
-
-
-def weight_monomials(matrix, row_degrees, cmax, row_offset=0):
-    """All monomials in the given matrix with prescribed row degrees and
-    columns 1..cmax; returned as single-term MultiPoly objects."""
-    per_row = []
-    for j, deg in enumerate(row_degrees, start=1):
-        monos = []
-        for combo in combinations_with_replacement(range(1, cmax + 1), deg):
-            counts = {}
-            for c in combo:
-                v = Var(matrix, row_offset + j, c)
-                counts[v] = counts.get(v, 0) + 1
-            monos.append(tuple(sorted(counts.items())))
-        per_row.append(monos)
-    out = []
-    for pick in iproduct(*per_row):
-        merged = {}
-        for mono in pick:
-            for v, e in mono:
-                merged[v] = merged.get(v, 0) + e
-        out.append(MultiPoly({tuple(sorted(merged.items())): 1}))
-    return out

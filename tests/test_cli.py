@@ -179,6 +179,19 @@ class TestExitCodes:
         assert out == ""
         assert "signatures must be nonnegative" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("invariants", "(1)x(1) -> (2)", "--k", "3"),
+            ("cgc", "(1)x(1) -> (2)", "--k", "3"),
+        ],
+    )
+    def test_k_only_on_decompose(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "usage error" in err
+
     def test_rank_too_small_usage(self, capsys):
         code, _, _ = run(capsys, "decompose", "(2,1)", "--k", "1")
         assert code == 1

@@ -5,7 +5,6 @@ import pytest
 
 from conftest import random_signature
 from tameprod.contragredient import (
-    ReversalMatrix,
     highest_weight_vector,
     lowest_weight_vector_check,
     negate_signature,
@@ -32,7 +31,6 @@ class TestReversal:
 
     def test_entries(self):
         assert reversal(3) == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
-        assert ReversalMatrix(3).apply_index(1) == 3
 
 
 class TestHighestWeightVector:

@@ -55,9 +55,9 @@ class TestGenerator:
             generator(0, 1, 2)
         prob = worked_problem()
         with pytest.raises(IndexOutOfRange):
-            prob.generator(5, 1)
+            prob.generator(5, 1, 2)
         with pytest.raises(IndexOutOfRange):
-            prob.generator(1, 3)
+            prob.generator(1, 3, 2)
 
     def test_truncation_is_prefix(self):
         from tameprod.fock_pairing import truncate_columns
@@ -79,14 +79,9 @@ class TestTensorProblem:
         assert prob.p == 4
         assert prob.q == 2
         assert prob.n == 6
-        assert prob.k == 6
         assert prob.mu == (1, 2, 2, 3, 7, 1)
         assert prob.row_alloc == (1, 1, 1, 1)
         assert prob.row_offsets == (0, 1, 2, 3)
-
-    def test_k_override(self):
-        prob = TensorProblem.build([sig(1)], sig(1), k=3)
-        assert prob.k == 3
 
     def test_multirow_layout(self):
         prob = TensorProblem.build([sig(2, 1), sig(1)], sig(2, 2))
@@ -111,11 +106,11 @@ class TestDiophantine:
         assert flat == sorted(flat)
 
     def test_degree_mismatch_empty(self):
-        prob = TensorProblem.build([sig(1)], sig(2), k=3)
+        prob = TensorProblem.build([sig(1)], sig(2))
         assert diophantine_solutions(prob) == []
 
     def test_single_factor_identity(self):
-        prob = TensorProblem.build([sig(1)], sig(1), k=2)
+        prob = TensorProblem.build([sig(1)], sig(1))
         assert diophantine_solutions(prob) == [ExponentMatrix(((1,),))]
 
     def test_sums(self):
@@ -209,7 +204,7 @@ class TestInvariantBasis:
         assert basis.dimension == 1
 
     def test_degree_mismatch_dimension_zero(self):
-        prob = TensorProblem.build([sig(1), sig(1)], sig(3), k=4)
+        prob = TensorProblem.build([sig(1), sig(1)], sig(3))
         assert invariant_basis(prob).dimension == 0
 
     def test_corpus_dimensions_match_multiplicity(self):
@@ -246,7 +241,7 @@ class TestInvariantBasis:
 
 class TestExpandedInvariants:
     def test_monomial_expansion_at_k1(self):
-        prob = TensorProblem.build([sig(1), sig(1)], sig(2), k=2)
+        prob = TensorProblem.build([sig(1), sig(1)], sig(2))
         ell = ExponentMatrix(((1,), (1,)))
         expected = v(zvar(1, 1)) * v(zvar(2, 1)) * v(wvar(1, 1), 2)
         assert monomial(prob, ell, 1) == expected

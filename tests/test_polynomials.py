@@ -13,6 +13,7 @@ from tameprod.polynomials import (
     act_cols,
     act_rows,
     apply_diff,
+    weight_monomials,
     wvar,
     zvar,
 )
@@ -197,3 +198,19 @@ class TestSerialization:
         assert p.max_col() == 2
         assert p.max_col("W") == 1
         assert p.total_degree() == 4
+
+
+class TestWeightMonomials:
+    def test_multirow_factor(self):
+        monos = weight_monomials("Z", (2, 1), 3, row_offset=2)
+        # C(4,2) degree-2 monomials in row 3 times C(3,1) in row 4
+        assert len(monos) == len(set(monos)) == 18
+        for m in monos:
+            assert len(m.terms) == 1
+            (mono, coeff), = m.terms.items()
+            assert coeff == 1
+            degrees = {}
+            for var, e in mono:
+                assert var.matrix == "Z" and 1 <= var.col <= 3
+                degrees[var.row] = degrees.get(var.row, 0) + e
+            assert degrees == {3: 2, 4: 1}

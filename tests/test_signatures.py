@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tameprod.errors import MixedSigns, NotDominant, TooShort
-from tameprod.signatures import Signature, SignedSpectrum, interleaves, normalize, pad, sig
+from tameprod.signatures import Signature, SignedSpectrum, interleaves, normalize, sig
 
 
 def decreasing_tuples(min_entry=-6, max_entry=6, max_len=5):
@@ -48,7 +48,7 @@ class TestNormalize:
 
 class TestPad:
     def test_pad(self):
-        assert pad(sig(7, 1), 4) == (7, 1, 0, 0)
+        assert sig(7, 1).pad(4) == (7, 1, 0, 0)
         assert sig(7, 1).pad(2) == (7, 1)
 
     def test_too_short(self):

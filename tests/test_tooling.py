@@ -1,0 +1,39 @@
+"""Checks on the program files themselves and smoke runs of the scripts."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_no_assert_in_program_files():
+    # python -O strips assert statements, so internal invariants raise
+    # typed errors instead
+    found = []
+    paths = [*(ROOT / "src" / "tameprod").rglob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    for path in sorted(paths):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not found, "assert statements in program files: " + ", ".join(found)
+
+
+def test_scripts_run():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+        )
+
+    worked = run("scripts/worked_example.py")
+    assert worked.returncode == 0, worked.stderr
+    assert "dimension: 3" in worked.stdout
+    assert "(showing 4 of 72 factor-state combinations)" in worked.stdout
+
+    survey = run("scripts/stability_survey.py", "--seed", "1", "--cases", "2")
+    assert survey.returncode == 0, survey.stderr
+    assert "all stable spectra agree with the tableau oracle" in survey.stdout
