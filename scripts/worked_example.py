@@ -8,7 +8,7 @@ Clebsch-Gordan coefficients computed through the Fock pairing.
 
 from itertools import product as iproduct
 
-from tameprod.cg_coefficients import cg_coefficient
+from tameprod.cg_coefficients import cg_table
 from tameprod.contragredient import lowest_weight_vector_check
 from tameprod.invariants import (
     TensorProblem,
@@ -55,12 +55,9 @@ def main():
         for f, off in zip(prob.factors, prob.row_offsets)
     ]
     grid = list(iproduct(*per_factor))
+    table = cg_table(basis, per_factor, f_star)
     shown = 0
-    for states in grid:
-        values = [
-            cg_coefficient(prob, basis.element(i), list(states), f_star)
-            for i in range(basis.dimension)
-        ]
+    for states, values in zip(grid, map(list, zip(*table))):
         if not any(values):
             continue
         label = " * ".join(str(s) for s in states)

@@ -10,6 +10,7 @@ from .errors import CalculusError
 from .cg_coefficients import (
     cg_coefficient,
     cg_coefficient_embedded,
+    cg_table,
     tilde_map,
     verify_equivariance,
 )
@@ -56,6 +57,7 @@ __all__ = [
     "apply_diff",
     "cg_coefficient",
     "cg_coefficient_embedded",
+    "cg_table",
     "compound_multiplier",
     "diagonal_right_action",
     "diophantine_solutions",

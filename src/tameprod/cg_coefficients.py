@@ -10,6 +10,9 @@ Clebsch-Gordan coefficients.
 
 from __future__ import annotations
 
+import math
+from itertools import product
+
 from .errors import RowAllocationViolation, SpanViolation
 from .fock_pairing import pair, pair_truncated
 from .linalg import solve_dict_system
@@ -26,22 +29,32 @@ def tilde_map(invariant: MultiPoly, f_star: MultiPoly) -> MultiPoly:
     return res.drop_vars(lambda v: v.matrix == "W")
 
 
-def _check_states(problem, factor_states, f_star):
+def _check_factor_states(problem, factor_states):
+    """factor_states[i] lists states of factor i, which must live in its Z rows."""
     if len(factor_states) != len(problem.factors):
         raise RowAllocationViolation(
             f"expected {len(problem.factors)} factor states, got {len(factor_states)}"
         )
-    for i, state in enumerate(factor_states):
+    for i, states in enumerate(factor_states):
         lo = problem.row_offsets[i]
         hi = lo + problem.row_alloc[i]
-        for v in state.variables():
-            if v.matrix != "Z" or not lo < v.row <= hi:
-                raise RowAllocationViolation(
-                    f"state {i} uses {v}, outside Z rows {lo + 1}..{hi}"
-                )
+        for state in states:
+            for v in state.variables():
+                if v.matrix != "Z" or not lo < v.row <= hi:
+                    raise RowAllocationViolation(
+                        f"state {i} uses {v}, outside Z rows {lo + 1}..{hi}"
+                    )
+
+
+def _check_dual(problem, f_star):
     for v in f_star.variables():
         if v.matrix != "W" or v.row > problem.q:
             raise RowAllocationViolation(f"dual state uses {v}, outside W rows 1..{problem.q}")
+
+
+def _check_states(problem, factor_states, f_star):
+    _check_factor_states(problem, [[s] for s in factor_states])
+    _check_dual(problem, f_star)
 
 
 def cg_coefficient(problem, invariant: MultiPoly, factor_states, f_star: MultiPoly):
@@ -64,6 +77,38 @@ def cg_coefficient_embedded(invariant: MultiPoly, factor_states, f_star: MultiPo
     for s in factor_states:
         prod = prod * s
     return pair(ftilde, prod)
+
+
+def cg_table(basis, factor_states, f_star: MultiPoly):
+    """Clebsch-Gordan coefficients of every basis invariant on every pick
+    of one state per factor, read off one embedded state per invariant.
+
+    factor_states[i] lists the states of factor i.  Returns one list per
+    basis element, its values in the order of product(*factor_states);
+    each equals cg_coefficient on the same states.
+    """
+    problem = basis.problem
+    _check_factor_states(problem, factor_states)
+    _check_dual(problem, f_star)
+    # <f~ | s_1 ... s_r> = sum over one term per state of the product of
+    # their coefficients, times f~'s coefficient on the merged monomial,
+    # times its factorial norm.  Factors own disjoint Z rows, so the sorted
+    # union of the terms' (variable, exponent) pairs is that monomial.
+    cells = []
+    for pick in product(*factor_states):
+        weights = []
+        for terms in product(*(s.terms.items() for s in pick)):
+            mono = tuple(sorted(x for m, _ in terms for x in m))
+            norm = math.prod(math.factorial(e) for _, e in mono)
+            weights.append((mono, norm * math.prod(c for _, c in terms)))
+        cells.append(weights)
+    # f~ only uses the columns of f*, so expanding there suffices
+    k = max(1, problem.q, f_star.max_col())
+    table = []
+    for i in range(basis.dimension):
+        ftilde = tilde_map(basis.element(i, k), f_star).terms
+        table.append([sum(ftilde.get(m, 0) * w for m, w in cell) for cell in cells])
+    return table
 
 
 def verify_equivariance(invariant: MultiPoly, f_star_basis, g) -> bool:

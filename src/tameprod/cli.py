@@ -14,7 +14,7 @@ import sys
 from itertools import product as iproduct
 
 from . import weyl_calculus
-from .cg_coefficients import cg_coefficient
+from .cg_coefficients import cg_table
 from .contragredient import lowest_weight_vector_check
 from .errors import (
     CalculusError,
@@ -213,18 +213,13 @@ def _cmd_cgc(args):
         weight_monomials("Z", f.entries, kx, row_offset=off)
         for f, off in zip(problem.factors, problem.row_offsets)
     ]
-    rows = []
-    for i in range(basis.dimension):
-        inv = basis.element(i, kx)
-        for pick in iproduct(*per_factor):
-            value = cg_coefficient(problem, inv, list(pick), f_star)
-            rows.append(
-                {
-                    "invariant": i + 1,
-                    "state": [str(s) for s in pick],
-                    "value": str(value),
-                }
-            )
+    table = cg_table(basis, per_factor, f_star)
+    labels = list(iproduct(*([str(s) for s in states] for states in per_factor)))
+    rows = [
+        {"invariant": i + 1, "state": label, "value": str(value)}
+        for i, values in enumerate(table)
+        for label, value in zip(labels, values)
+    ]
     if args.json:
         print(json.dumps(rows))
         return 0

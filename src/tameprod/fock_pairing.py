@@ -35,8 +35,10 @@ def truncate_columns(p: MultiPoly, k: int) -> MultiPoly:
 def pair_truncated(p: MultiPoly, f: MultiPoly):
     """Pairing of a projective-limit element p against f.
 
-    Columns of p above the maximal column of f differentiate f to zero,
-    so p is truncated there first; the value is independent of the rank
-    p was expanded at, provided it covers f's columns.
+    Columns of p above the maximal column of f differentiate f to zero, so
+    p needs no truncation: pair only sums monomials present in both
+    arguments, and no monomial of f uses a column above f.max_col().  The
+    value is independent of the rank p was expanded at, provided it covers
+    f's columns.
     """
-    return pair(truncate_columns(p, f.max_col()), f)
+    return pair(p, f)

@@ -26,7 +26,7 @@ from .polynomials import MultiPoly, act_cols, wvar, zvar
 from .signatures import Signature
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def generator(alpha: int, beta: int, k: int) -> MultiPoly:
     """P[alpha,beta] truncated to k columns: sum_t Z[alpha,t] W[beta,t]."""
     if alpha < 1 or beta < 1:

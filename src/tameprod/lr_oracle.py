@@ -41,7 +41,7 @@ def _tableau_weights(shape, k):
     yield from fill(0, (), (0,) * k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2048)
 def _schur_items(entries: tuple, k: int):
     counts: dict[tuple, int] = {}
     for w in _tableau_weights(entries, k):

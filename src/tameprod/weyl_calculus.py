@@ -54,7 +54,7 @@ def _apply_simple(order, beta: Signature, k: int):
         yield _trimmed(b[i] + nu[i] for i in range(k))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def simple_multiplier(order: int, beta: Signature, k: int) -> SignedSpectrum:
     """Spectrum of the order-a simple multiplier applied to beta at rank k."""
     if k < beta.length:
@@ -65,7 +65,7 @@ def simple_multiplier(order: int, beta: Signature, k: int) -> SignedSpectrum:
     return SignedSpectrum(counts)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16384)
 def compound_multiplier(alpha: Signature, beta: Signature, k: int) -> SignedSpectrum:
     """Decomposition of the product of alpha and beta at rank k."""
     if k < beta.length or k < alpha.length:

@@ -1,12 +1,15 @@
+import random
 from fractions import Fraction
 from itertools import product as iproduct
+from math import prod
 
 import pytest
 
-from conftest import weight_monomials
+from conftest import random_signature, weight_monomials
 from tameprod.cg_coefficients import (
     cg_coefficient,
     cg_coefficient_embedded,
+    cg_table,
     tilde_map,
     verify_equivariance,
 )
@@ -16,6 +19,7 @@ from tameprod.invariants import TensorProblem, generator, invariant_basis
 from tameprod.linalg import rank
 from tameprod.polynomials import MultiPoly, wvar, zvar
 from tameprod.signatures import sig
+from tameprod.weyl_calculus import stable_decompose
 
 
 def v(x, e=1):
@@ -29,13 +33,15 @@ def worked():
     return prob, basis, f_star
 
 
+def factor_states(prob):
+    return [
+        weight_monomials("Z", f.entries, max(1, prob.q), row_offset=off)
+        for f, off in zip(prob.factors, prob.row_offsets)
+    ]
+
+
 def factor_state_grid(prob):
-    per_factor = []
-    for i, f in enumerate(prob.factors):
-        per_factor.append(
-            weight_monomials("Z", f.entries, max(1, prob.q), row_offset=prob.row_offsets[i])
-        )
-    return list(iproduct(*per_factor))
+    return list(iproduct(*factor_states(prob)))
 
 
 class TestTildeMap:
@@ -150,6 +156,91 @@ class TestCgCoefficient:
             cg_coefficient(prob, basis.element(0), bad, f_star)
         with pytest.raises(RowAllocationViolation):
             cg_coefficient(prob, basis.element(0), bad[1:], f_star)
+
+
+def assert_table_matches_direct(prob, factor_states):
+    """Every cell of cg_table equals cg_coefficient on the same states."""
+    basis = invariant_basis(prob)
+    f_star = lowest_weight_vector_check(prob.target, prob.q)
+    table = cg_table(basis, factor_states, f_star)
+    picks = list(iproduct(*factor_states))
+    assert len(table) == basis.dimension
+    for i, values in enumerate(table):
+        inv = basis.element(i)
+        assert values == [cg_coefficient(prob, inv, list(p), f_star) for p in picks]
+    return table
+
+
+class TestCgTable:
+    def test_matches_direct_route_on_random_problems(self):
+        # 2-3 factors with entries <= 2 and <= 2 rows, targets drawn from
+        # the stable (Littlewood-Richardson) spectrum of the product; the
+        # table has full rank, one independent row per invariant
+        rng = random.Random(20261018)
+        dimensions = []
+        while len(dimensions) < 30:
+            factors = [random_signature(rng, 2, 2) for _ in range(rng.randint(2, 3))]
+            spectrum = sorted(stable_decompose(factors).items(), key=lambda t: t[0].entries)
+            prob = TensorProblem.build(factors, rng.choice(spectrum)[0])
+            per_factor = factor_states(prob)
+            if prod(map(len, per_factor)) > 700:
+                continue
+            table = assert_table_matches_direct(prob, per_factor)
+            assert rank(table) == len(table) > 0
+            dimensions.append(len(table))
+        assert max(dimensions) >= 2
+
+    def test_combined_states(self):
+        # states that are combinations of weight monomials, with rational
+        # coefficients: each cell is the product of the state coefficients
+        prob = TensorProblem.build([sig(2, 1), sig(1)], sig(2, 1, 1))
+        rng = random.Random(7)
+        per_factor = []
+        for f, off in zip(prob.factors, prob.row_offsets):
+            monos = weight_monomials("Z", f.entries, prob.q, row_offset=off)
+            per_factor.append(
+                [
+                    sum(
+                        (Fraction(rng.randint(-3, 3), rng.randint(1, 2)) * m for m in monos),
+                        MultiPoly.zero(),
+                    )
+                    for _ in range(3)
+                ]
+            )
+        table = assert_table_matches_direct(prob, per_factor)
+        assert any(any(row) for row in table)
+
+    def test_one_factor(self):
+        prob = TensorProblem.build([sig(2, 1)], sig(2, 1))
+        table = assert_table_matches_direct(prob, [weight_monomials("Z", (2, 1), 2)])
+        assert len(table) == 1 and any(table[0])
+
+    def test_multiplicity_zero_gives_empty_table(self):
+        prob = TensorProblem.build([sig(2), sig(1)], sig(1, 1, 1))
+        assert assert_table_matches_direct(prob, factor_states(prob)) == []
+
+    def test_worked_grid(self):
+        prob, basis, f_star = worked()
+        table = cg_table(basis, factor_states(prob), f_star)
+        assert rank(table) == 3
+        states = [
+            v(zvar(1, 1)),
+            v(zvar(2, 1), 2),
+            v(zvar(3, 1), 2),
+            v(zvar(4, 1), 2) * v(zvar(4, 2)),
+        ]
+        assert [row[0] for row in cg_table(basis, [[s] for s in states], f_star)] == [0, 0, -46080]
+
+    def test_row_allocation_violation(self):
+        prob, basis, f_star = worked()
+        states = [[v(zvar(1, 1))], [v(zvar(2, 1), 2)], [v(zvar(3, 1), 2)], [v(zvar(4, 1), 3)]]
+        assert cg_table(basis, states, f_star) == [[0], [0], [0]]
+        with pytest.raises(RowAllocationViolation, match="state 0 uses Z\\[2,1\\]"):
+            cg_table(basis, [[v(zvar(1, 1)), v(zvar(2, 1))], *states[1:]], f_star)
+        with pytest.raises(RowAllocationViolation, match="expected 4 factor states, got 3"):
+            cg_table(basis, states[1:], f_star)
+        with pytest.raises(RowAllocationViolation, match="dual state"):
+            cg_table(basis, states, v(wvar(3, 1)))
 
 
 class TestEquivariance:

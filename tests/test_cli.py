@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from tameprod import cg_coefficients, cli, fock_pairing
 from tameprod.cli import main, parse_expression
 from tameprod.errors import ExpressionSyntaxError
 from tameprod.signatures import SignedSpectrum, sig
@@ -143,6 +144,40 @@ class TestCgc:
         rows = json.loads(out)
         assert len(rows) == 3 * 72
         assert any(r["value"] != "0" for r in rows)
+
+    def test_table_read_off_one_embedding_per_invariant(self, capsys, monkeypatch):
+        calls = {"tilde_map": 0, "pair_truncated": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            cg_coefficients, "tilde_map", counting("tilde_map", cg_coefficients.tilde_map)
+        )
+        # cg_coefficient looks pair_truncated up in its own module
+        wrapped = counting("pair_truncated", fock_pairing.pair_truncated)
+        monkeypatch.setattr(fock_pairing, "pair_truncated", wrapped)
+        monkeypatch.setattr(cg_coefficients, "pair_truncated", wrapped)
+        code, out, _ = run(capsys, "cgc", "(2,1)x(2,1) -> (3,2,1)", "--json")
+        assert code == 0
+        assert len(json.loads(out)) == 648
+        assert calls == {"tilde_map": 2, "pair_truncated": 0}
+
+    def test_row_allocation_violation_is_exit_1(self, capsys, monkeypatch):
+        real = cli.weight_monomials
+
+        def shifted(matrix, row_degrees, cmax, row_offset=0):
+            return real(matrix, row_degrees, cmax, row_offset=row_offset + 1)
+
+        monkeypatch.setattr(cli, "weight_monomials", shifted)
+        code, out, err = run(capsys, "cgc", "(1)x(1) -> (2)")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "outside Z rows 1..1" in err
 
 
 class TestExitCodes:

@@ -1,10 +1,15 @@
 """Checks on the program files themselves and smoke runs of the scripts."""
 
 import ast
+import importlib
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import tameprod
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -19,6 +24,20 @@ def test_no_assert_in_program_files():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert not found, "assert statements in program files: " + ", ".join(found)
+
+
+def test_caches_are_bounded():
+    # an unbounded functools cache grows with every distinct query of a
+    # long-lived process
+    unbounded = []
+    for info in pkgutil.iter_modules(tameprod.__path__):
+        module = importlib.import_module(f"tameprod.{info.name}")
+        owners = [module, *(c for _, c in inspect.getmembers(module, inspect.isclass))]
+        for owner in owners:
+            for name, obj in vars(owner).items():
+                if hasattr(obj, "cache_info") and obj.cache_info().maxsize is None:
+                    unbounded.append(f"{module.__name__}.{name}")
+    assert not unbounded, "unbounded caches: " + ", ".join(unbounded)
 
 
 def test_scripts_run():
