@@ -1,9 +1,9 @@
 """Small exact linear algebra helpers over the rationals.
 
-rref, rank, nullspace_primitive and solve_dict_system share one sparse,
-fraction-free Gauss-Jordan elimination over the integers; each row is kept
-primitive by its gcd, as in the one-step form of Bareiss (Math. Comp. 22,
-1968), so no Fraction arithmetic happens inside it.
+rref, rank, nullspace_primitive, solve_dict_system and invert share one
+sparse, fraction-free Gauss-Jordan elimination over the integers; each row
+is kept primitive by its gcd, as in the one-step form of Bareiss (Math.
+Comp. 22, 1968), so no Fraction arithmetic happens inside it.
 """
 
 from __future__ import annotations
@@ -39,24 +39,13 @@ def transpose(a):
 
 
 def invert(matrix):
-    """Exact inverse of a square matrix (entries int or Fraction)."""
+    """Exact inverse of a square matrix (entries int or Fraction), read
+    off the reduced row echelon form of [matrix | I]."""
     n = len(matrix)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(matrix)
-    ]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            raise DimensionMismatch("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [[demote(x) for x in row[n:]] for row in aug]
+    rows, pivots = rref([[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(matrix)])
+    if pivots[:n] != list(range(n)):
+        raise DimensionMismatch("matrix is singular")
+    return [[demote(x) for x in row[n:]] for row in rows]
 
 
 def contragredient_matrix(g):

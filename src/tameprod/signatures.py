@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .errors import MixedSigns, NotDominant, TooShort
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Signature:
     """Canonical weakly decreasing integer tuple."""
 

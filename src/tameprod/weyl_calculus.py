@@ -5,7 +5,8 @@ at most s_i = beta_i - beta_{i+1} of them in row i+1 (the first row takes
 any number).  A compound multiplier for a signature alpha is the l x l
 determinant with (i, j) entry the simple multiplier of order
 alpha_i - i + j, expanded over permutations with sign and applied
-factor by factor (simple multipliers commute).
+factor by factor (simple multipliers commute).  Each simple multiplier is
+enumerated once per (order, beta, k) and shared by every compound multiplier.
 """
 
 from __future__ import annotations
@@ -44,25 +45,21 @@ def _compositions(total, k, caps):
     yield from rec(0, total, ())
 
 
-def _apply_simple(order, beta: Signature, k: int):
-    """Yield the signatures produced by one simple multiplier (each once)."""
+@lru_cache(maxsize=32768)
+def _apply_simple(order, beta: Signature, k: int) -> tuple[Signature, ...]:
+    """The signatures produced by one simple multiplier (each once)."""
     if order < 0:
-        return
+        return ()
     b = beta.pad(k)
     caps = [b[i] - b[i + 1] for i in range(k - 1)]
-    for nu in _compositions(order, k, caps):
-        yield _trimmed(b[i] + nu[i] for i in range(k))
+    return tuple(_trimmed(b[i] + nu[i] for i in range(k)) for nu in _compositions(order, k, caps))
 
 
-@lru_cache(maxsize=256)
 def simple_multiplier(order: int, beta: Signature, k: int) -> SignedSpectrum:
     """Spectrum of the order-a simple multiplier applied to beta at rank k."""
     if k < beta.length:
         raise RankTooSmall(f"k={k} below length of {beta}")
-    counts: dict[Signature, int] = {}
-    for out in _apply_simple(order, beta, k):
-        counts[out] = counts.get(out, 0) + 1
-    return SignedSpectrum(counts)
+    return SignedSpectrum(dict.fromkeys(_apply_simple(order, beta, k), 1))
 
 
 @lru_cache(maxsize=16384)

@@ -1,9 +1,19 @@
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from tameprod.linalg import nullspace_primitive, rank, rref, solve_dict_system
+from tameprod.errors import DimensionMismatch
+from tameprod.linalg import (
+    identity,
+    invert,
+    matmul,
+    nullspace_primitive,
+    rank,
+    rref,
+    solve_dict_system,
+)
 
 ENTRY = st.one_of(
     st.just(0),
@@ -117,3 +127,37 @@ class TestSolveDictSystem:
             assert sol == coeffs
         target["outside"] = 1
         assert solve_dict_system(basis, target) is None
+
+
+class TestInvert:
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("fractions", [False, True])
+    def test_inverse(self, n, fractions):
+        # an upper unitriangular times a lower triangular with nonzero diagonal
+        diag = [Fraction(i + 2, 3) if fractions else -(i + 1) for i in range(n)]
+        upper = [[(i + 2 * j) % 5 - 2 if i < j else int(i == j) for j in range(n)] for i in range(n)]
+        lower = [[(3 * i + j) % 4 - 1 if i > j else 0 for j in range(n)] for i in range(n)]
+        for i in range(n):
+            lower[i][i] = diag[i]
+        g = matmul(upper, lower)
+        assert matmul(g, invert(g)) == identity(n)
+        assert matmul(invert(g), g) == identity(n)
+
+    def test_empty(self):
+        assert invert([]) == identity(0) == []
+
+    def test_integral_entries_are_ints(self):
+        inv = invert([[2, 1], [1, 1]])
+        assert inv == [[1, -1], [-1, 2]]
+        assert all(type(x) is int for row in inv for x in row)
+        inv = invert([[Fraction(1, 2), 0], [0, 2]])
+        assert inv == [[2, 0], [0, Fraction(1, 2)]]
+        assert [type(x) for row in inv for x in row] == [int, int, int, Fraction]
+
+    @pytest.mark.parametrize(
+        "g",
+        [[[0]], [[1, 2], [2, 4]], [[1, 0, 1], [0, 1, 1], [1, 1, 2]], [[0, 0], [0, 1]]],
+    )
+    def test_singular(self, g):
+        with pytest.raises(DimensionMismatch):
+            invert(g)

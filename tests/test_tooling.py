@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import os
 import pkgutil
@@ -38,6 +39,28 @@ def test_caches_are_bounded():
                 if hasattr(obj, "cache_info") and obj.cache_info().maxsize is None:
                     unbounded.append(f"{module.__name__}.{name}")
     assert not unbounded, "unbounded caches: " + ", ".join(unbounded)
+
+
+def test_traced_names_resolve():
+    # bench/spans.py times the layers by name; a name it lists that the
+    # package no longer has would break tracing
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for layer, names in spans.LAYERS.items():
+        module = importlib.import_module(f"tameprod.{layer}")
+        for name in names:
+            if "." in name:
+                cls_name, meth = name.split(".")
+                cls = getattr(module, cls_name, None)
+                found = isinstance(cls, type) and meth in vars(cls)
+            else:
+                found = callable(getattr(module, name, None))
+            if not found:
+                missing.append(f"{layer}.{name}")
+    assert sum(map(len, spans.LAYERS.values())) == 56
+    assert not missing, "traced names missing from the package: " + ", ".join(missing)
 
 
 def test_scripts_run():

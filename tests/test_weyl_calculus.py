@@ -70,14 +70,14 @@ class TestCompoundMultiplier:
         assert compound_multiplier(a, b, 3) == compound_multiplier(b, a, 3)
 
     def test_negative_multiplicity_is_self_check_error(self, monkeypatch):
-        # compound_multiplier folds _apply_simple directly, not the cached
-        # simple_multiplier; dropping order 1 leaves only the negative term
-        # of the 2x2 determinant for (1,1) x (1)
+        # compound_multiplier folds the outputs of _apply_simple; dropping
+        # order 1 leaves only the negative term of the 2x2 determinant for
+        # (1,1) x (1)
         real = weyl_calculus._apply_simple
         monkeypatch.setattr(
             weyl_calculus,
             "_apply_simple",
-            lambda order, beta, k: iter(()) if order == 1 else real(order, beta, k),
+            lambda order, beta, k: () if order == 1 else real(order, beta, k),
         )
         compound_multiplier.cache_clear()
         try:
@@ -85,6 +85,15 @@ class TestCompoundMultiplier:
                 compound_multiplier(sig(1, 1), sig(1), 3)
         finally:
             compound_multiplier.cache_clear()
+
+    def test_one_cached_strip_enumeration(self):
+        # every compound multiplier reads its simple multipliers from the one
+        # _apply_simple cache, and simple_multiplier keeps no cache of its own
+        compound_multiplier.cache_clear()
+        weyl_calculus._apply_simple.cache_clear()
+        tensor_decompose([sig(2, 1), sig(2, 1), sig(2, 1)], 4)
+        assert weyl_calculus._apply_simple.cache_info().hits > 0
+        assert not hasattr(simple_multiplier, "cache_info")
 
 
 class TestTensorDecompose:
