@@ -105,8 +105,8 @@ def cg_table(basis, factor_states, f_star: MultiPoly):
     # f~ only uses the columns of f*, so expanding there suffices
     k = max(1, problem.q, f_star.max_col())
     table = []
-    for i in range(basis.dimension):
-        ftilde = tilde_map(basis.element(i, k), f_star).terms
+    for element in basis.elements(k):
+        ftilde = tilde_map(element, f_star).terms
         table.append([sum(ftilde.get(m, 0) * w for m, w in cell) for cell in cells])
     return table
 

@@ -184,7 +184,7 @@ def _cmd_invariants(args):
     obj = basis.to_json_obj()
     kx = max(1, problem.q)
     if args.show_polynomials:
-        obj["polynomials"] = [str(basis.element(i, kx)) for i in range(basis.dimension)]
+        obj["polynomials"] = [str(e) for e in basis.elements(kx)]
     if args.json:
         print(json.dumps(obj))
         return 0

@@ -21,8 +21,8 @@ from .errors import (
     SelfCheckError,
     WeightMismatch,
 )
-from .linalg import contragredient_matrix, nullspace_primitive
-from .polynomials import MultiPoly, act_cols, wvar, zvar
+from .linalg import column_shears, nullspace_primitive
+from .polynomials import MultiPoly, scale_cols, shear_cols, wvar, zvar
 from .signatures import Signature
 
 
@@ -279,19 +279,32 @@ class InvariantBasis:
     def dimension(self) -> int:
         return len(self.vectors)
 
-    def element(self, i: int, k: int | None = None) -> MultiPoly:
+    def element(self, i: int, k: int | None = None, expanded: dict | None = None) -> MultiPoly:
         """Expand basis element i at rank k (default: the target length,
-        enough for the Fock pairing against the dual model)."""
+        enough for the Fock pairing against the dual model).
+
+        `expanded`, if given, maps P-monomials to their expanded terms at
+        this k; it is read and filled, so a caller can share it between
+        elements.
+        """
         if k is None:
             k = max(1, self.problem.q)
-        poly = MultiPoly.zero()
+        if expanded is None:
+            expanded = {}
+        total: dict = {}
         for c, mono in zip(self.vectors[i], self.monomials):
             if c:
-                poly = poly + c * monomial(self.problem, mono, k)
-        return poly
+                terms = expanded.get(mono)
+                if terms is None:
+                    terms = expanded[mono] = monomial(self.problem, mono, k).terms
+                for m, x in terms.items():
+                    total[m] = total.get(m, 0) + c * x
+        return MultiPoly(total)
 
     def elements(self, k: int | None = None):
-        return [self.element(i, k) for i in range(self.dimension)]
+        """Expand every basis element, each distinct P-monomial once."""
+        expanded: dict = {}
+        return [self.element(i, k, expanded) for i in range(self.dimension)]
 
     def combination_label(self, i: int) -> str:
         parts = []
@@ -337,7 +350,24 @@ def invariant_basis(problem: TensorProblem) -> InvariantBasis:
 def diagonal_right_action(f: MultiPoly, g) -> MultiPoly:
     """Right action in labeled coordinates: Z -> Z.g and W -> W.(g^T)^{-1}.
 
+    g is factored by column shears, g.C1...Cm = D with D diagonal (see
+    linalg.column_shears), so g = D.Cm^-1...C1^-1.  Acting by a and then by
+    b is acting by b.a, so f is acted on by C1^-1 first, then each Ck^-1 on
+    Z and W together, and by D last.  Each shear is the exponential of a
+    locally nilpotent polarization, whose series is finite and exact
+    (polynomials.shear_cols); D scales each term by a power product of its
+    entries.  The result is exact for any f and any invertible rational g.
     Every generator P[a,b] is fixed, hence so is any expanded invariant
-    (at rank k = len(g))."""
-    gv = contragredient_matrix(g)
-    return act_cols(act_cols(f, g, matrix="Z"), gv, matrix="W")
+    (at rank k = len(g)), and for it each shear costs one pass that
+    returns 0.
+    """
+    k = len(g)
+    if any(len(row) != k for row in g):
+        raise DimensionMismatch("matrix is not square")
+    for v in f.variables():
+        if v.matrix in ("Z", "W") and v.col > k:
+            raise DimensionMismatch(f"{v} has column above {k}")
+    shears, diagonal = column_shears(g)
+    for p, c, t in shears:
+        f = shear_cols(f, p + 1, c + 1, -t)
+    return scale_cols(f, diagonal)

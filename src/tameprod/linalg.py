@@ -26,7 +26,7 @@ def identity(n):
 
 
 def matmul(a, b):
-    n, m = len(a), len(b[0])
+    n, m = len(a), len(b[0]) if b else 0
     inner = len(b)
     return [
         [sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(m)]
@@ -51,6 +51,51 @@ def invert(matrix):
 def contragredient_matrix(g):
     """(g^T)^{-1}, exactly."""
     return transpose(invert(g))
+
+
+def column_shears(g):
+    """Factor an invertible square g by elementary column shears.
+
+    Returns (shears, diagonal) with g.C1...Cm = diag(diagonal), where each
+    shear (p, c, t) is Ck = I + t.E[p][c], adding t times column p to
+    column c (0-based).  Row by row, Euclid's algorithm on the entries
+    right of the diagonal leaves one of them nonzero; two shears move it
+    onto the diagonal.  The entries below the diagonal are then cleared.
+    Every Euclid step t is an integer, and for an integer g of determinant
+    +-1 every pivot is +-1, so all of its shears are integral.
+    """
+    n = len(g)
+    if any(len(row) != n for row in g):
+        raise DimensionMismatch("matrix is not square")
+    m = [list(row) for row in g]
+    shears = []
+
+    def shear(p, c, t):
+        for row in m:
+            if row[p]:
+                row[c] += t * row[p]
+        shears.append((p, c, t))
+
+    for i, row in enumerate(m):
+        while True:
+            live = [j for j in range(i, n) if row[j]]
+            if not live:
+                raise DimensionMismatch("matrix is singular")
+            if len(live) == 1:
+                break
+            p = min(live, key=lambda j: abs(row[j]))
+            for c in live:
+                if c != p:
+                    shear(p, c, -(row[c] // row[p]))
+        (p,) = live
+        if p != i:
+            shear(p, i, 1)
+            shear(i, p, -1)
+    for j in range(1, n):
+        for c in range(j):
+            if m[j][c]:
+                shear(j, c, demote(-Fraction(m[j][c]) / m[j][j]))
+    return shears, [demote(m[i][i]) for i in range(n)]
 
 
 def perm_sign(p) -> int:

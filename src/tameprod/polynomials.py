@@ -8,6 +8,7 @@ rows below in reversed order, matching the block the group acts on.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -353,6 +354,73 @@ def apply_diff(p: MultiPoly, f: MultiPoly, over=frozenset({"Z", "W"})) -> MultiP
                 continue
             mono = _mono_mul(mpart, tuple(sorted(fd.items())))
             out[mono] = out.get(mono, 0) + coeff
+    return MultiPoly(out)
+
+
+def _polarization(terms: dict, p: int, c: int) -> dict:
+    """D applied to terms, for D = sum_r Z[r,p] d/dZ[r,c] - W[r,c] d/dW[r,p]."""
+    out: dict = {}
+    for mono, coeff in terms.items():
+        for idx, (v, e) in enumerate(mono):
+            matrix, row, col = v
+            if col == c and matrix == "Z":
+                gain, x = Var("Z", row, p), coeff * e
+            elif col == p and matrix == "W":
+                gain, x = Var("W", row, c), -coeff * e
+            else:
+                continue
+            m = mono[:idx] + (((v, e - 1),) if e > 1 else ()) + mono[idx + 1:]
+            at = bisect_left(m, (gain,))
+            if at < len(m) and m[at][0] == gain:
+                m = m[:at] + ((gain, m[at][1] + 1),) + m[at + 1:]
+            else:
+                m = m[:at] + ((gain, 1),) + m[at:]
+            out[m] = out.get(m, 0) + x
+    return _clean(out)
+
+
+def shear_cols(f: MultiPoly, p: int, c: int, s) -> MultiPoly:
+    """f(Z.S, W.S^-T) for the shear S = I + s.E[p][c] (columns 1-based).
+
+    Z column c gains s times Z column p and W column p loses s times W
+    column c.  That substitution is exp(s.D) for the polarization D of
+    _polarization, which lowers the degree of Z column c plus W column p by
+    one, so the series sum_n s^n/n! D^n f ends within deg f + 1 terms; an f
+    that D kills comes back after one pass.
+    """
+    if p == c:
+        raise DimensionMismatch("a shear needs two distinct columns")
+    total = dict(f.terms)
+    term = f.terms
+    n = 0
+    while True:
+        term = _polarization(term, p, c)
+        if not term:
+            return MultiPoly(total)
+        n += 1
+        for m, x in term.items():
+            # s^n/n! D^n f = (s/n) D(s^(n-1)/(n-1)! D^(n-1) f), integral for integral f and s
+            x = Fraction(x * s, n)
+            term[m] = x = x.numerator if x.denominator == 1 else x
+            total[m] = total.get(m, 0) + x
+
+
+def scale_cols(f: MultiPoly, d) -> MultiPoly:
+    """f(Z.D, W.D^-1) for D = diag(d): each term is scaled by the product
+    of d[c]^(degree of Z column c - degree of W column c)."""
+    if all(x == 1 for x in d):
+        return f
+    out: dict = {}
+    for mono, coeff in f.terms.items():
+        weight: dict = {}
+        for v, e in mono:
+            if v.matrix == "Z":
+                weight[v.col] = weight.get(v.col, 0) + e
+            elif v.matrix == "W":
+                weight[v.col] = weight.get(v.col, 0) - e
+        for col, e in weight.items():
+            coeff *= Fraction(d[col - 1]) ** e
+        out[mono] = coeff.numerator if coeff.denominator == 1 else coeff
     return MultiPoly(out)
 
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,9 +21,9 @@ from tameprod.invariants import (
     unipotent_constraints,
     unipotent_generators,
 )
-from tameprod.linalg import rref
+from tameprod.linalg import contragredient_matrix, identity, invert, matmul, rref
 from tameprod.lr_oracle import schur_product_decompose
-from tameprod.polynomials import MultiPoly, act_rows, wvar, zvar
+from tameprod.polynomials import MultiPoly, act_cols, act_rows, wvar, zvar
 from tameprod.signatures import sig
 from tameprod.weyl_calculus import multiplicity
 
@@ -295,3 +296,112 @@ class TestExpandedInvariants:
             assert solve_dict_system([x.terms for x in lo], e.terms) is not None
         for e in lo:
             assert solve_dict_system([x.terms for x in hi], e.terms) is not None
+
+
+def reference_action(f, g):
+    """f(Z.g, W.g^-T) by two full substitutions, Z then W."""
+    return act_cols(act_cols(f, g, "Z"), contragredient_matrix(g), "W")
+
+
+def mixed_poly(rng, k, max_degree=4, nterms=4):
+    """Random polynomial in Z and W rows 1..2, columns 1..k, degree <= 4,
+    with rational coefficients; rarely invariant."""
+    pool = [zvar(r, c) for r in (1, 2) for c in range(1, k + 1)]
+    pool += [wvar(r, c) for r in (1, 2) for c in range(1, k + 1)]
+    poly = MultiPoly.zero()
+    for _ in range(nterms):
+        term = MultiPoly.const(rng.choice([1, -2, 3, Fraction(1, 2), Fraction(-5, 3)]))
+        for x in rng.choices(pool, k=rng.randint(0, max_degree)):
+            term = term * v(x)
+        poly = poly + term
+    return poly
+
+
+def random_invertible(k, rng):
+    """Random invertible g of one of four kinds, with rational entries."""
+    kind = rng.choice(["rational", "permutation", "det -1", "diagonal"])
+    if kind == "permutation":
+        perm = rng.sample(range(k), k)
+        return [[int(perm[i] == j) for j in range(k)] for i in range(k)]
+    if kind == "det -1":
+        flip = identity(k)
+        flip[0][0] = -1
+        return matmul(random_unimodular(k, rng), flip) if k > 1 else flip
+    if kind == "diagonal":
+        g = identity(k)
+        for i in range(k):
+            g[i][i] = rng.choice([2, -3, Fraction(1, 2), Fraction(-4, 3)])
+        return g
+    entries = [0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+    while True:
+        g = [[rng.choice(entries) for _ in range(k)] for _ in range(k)]
+        try:
+            invert(g)
+            return g
+        except DimensionMismatch:
+            pass
+
+
+class TestDiagonalRightAction:
+    def test_matches_two_pass_substitution(self):
+        rng = random.Random(20261018)
+        changed = 0
+        for _ in range(120):
+            k = rng.randint(1, 4)
+            f = mixed_poly(rng, k)
+            g = random_invertible(k, rng)
+            acted = diagonal_right_action(f, g)
+            assert acted == reference_action(f, g)
+            changed += acted != f
+        # most inputs are not invariant, so the comparison has teeth
+        assert changed > 80
+
+    def test_kinds_of_g(self):
+        f = v(zvar(1, 1), 2) * v(wvar(2, 2)) + 3 * v(zvar(2, 2)) * v(wvar(1, 1))
+        swap = [[0, 1], [1, 0]]
+        assert diagonal_right_action(f, swap) == (
+            v(zvar(1, 2), 2) * v(wvar(2, 1)) + 3 * v(zvar(2, 1)) * v(wvar(1, 2))
+        )
+        d = [[2, 0], [0, 3]]
+        assert diagonal_right_action(f, d) == (
+            Fraction(4, 3) * v(zvar(1, 1), 2) * v(wvar(2, 2))
+            + Fraction(9, 2) * v(zvar(2, 2)) * v(wvar(1, 1))
+        )
+        for g in (swap, d, [[1, 1], [1, 0]], [[Fraction(1, 2), 1], [3, -1]]):
+            assert diagonal_right_action(f, g) == reference_action(f, g)
+
+    def test_composition(self):
+        rng = random.Random(7)
+        for _ in range(30):
+            k = rng.randint(1, 3)
+            f = mixed_poly(rng, k)
+            g, h = random_invertible(k, rng), random_invertible(k, rng)
+            lhs = diagonal_right_action(diagonal_right_action(f, h), g)
+            assert lhs == diagonal_right_action(f, matmul(g, h))
+
+    def test_identity_and_constants(self):
+        f = v(zvar(1, 2)) * v(wvar(1, 1))
+        assert diagonal_right_action(f, identity(2)) == f
+        assert diagonal_right_action(MultiPoly.const(5), []) == 5
+
+    def test_singular(self):
+        f = v(zvar(1, 1)) * v(wvar(1, 2))
+        for g in ([[0]], [[1, 2], [2, 4]], [[0, 0], [0, 1]], [[1, 0, 1], [0, 1, 1], [1, 1, 2]]):
+            k = len(g)
+            with pytest.raises(DimensionMismatch):
+                diagonal_right_action(v(zvar(1, 1)), g)
+            with pytest.raises(DimensionMismatch):
+                diagonal_right_action(f if k > 1 else v(wvar(1, 1)), g)
+
+    def test_not_square(self):
+        with pytest.raises(DimensionMismatch):
+            diagonal_right_action(v(zvar(1, 1)), [[1, 0]])
+        with pytest.raises(DimensionMismatch):
+            diagonal_right_action(v(zvar(1, 1)), [[1, 0], [0]])
+
+    def test_column_above_rank(self):
+        for x in (zvar(1, 3), wvar(2, 3)):
+            with pytest.raises(DimensionMismatch):
+                diagonal_right_action(v(x), identity(2))
+            with pytest.raises(DimensionMismatch):
+                reference_action(v(x), identity(2))

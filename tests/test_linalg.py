@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from tameprod.errors import DimensionMismatch
 from tameprod.linalg import (
+    column_shears,
     identity,
     invert,
     matmul,
@@ -127,6 +128,54 @@ class TestSolveDictSystem:
             assert sol == coeffs
         target["outside"] = 1
         assert solve_dict_system(basis, target) is None
+
+
+class TestMatmul:
+    @pytest.mark.parametrize("n", range(0, 4))
+    def test_identity(self, n):
+        a = [[i - 2 * j for j in range(n)] for i in range(n)]
+        assert matmul(a, identity(n)) == matmul(identity(n), a) == a
+
+    def test_empty(self):
+        assert matmul([], []) == []
+
+
+def shear_matrix(n, p, c, t):
+    e = identity(n)
+    e[p][c] = t
+    return e
+
+
+class TestColumnShears:
+    @given(st.integers(1, 4), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_factors_to_diagonal(self, n, data):
+        g = data.draw(st.lists(st.lists(ENTRY, min_size=n, max_size=n), min_size=n, max_size=n))
+        if rank(g) < n:
+            with pytest.raises(DimensionMismatch):
+                column_shears(g)
+            return
+        shears, diagonal = column_shears(g)
+        product = g
+        for p, c, t in shears:
+            assert p != c
+            product = matmul(product, shear_matrix(n, p, c, t))
+        assert product == [[diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def test_unimodular_shears_are_integral(self):
+        g = matmul([[2, 1, 0], [1, 1, 0], [0, 0, 1]], [[1, 0, 0], [3, 1, 0], [-2, 5, -1]])
+        shears, diagonal = column_shears(g)
+        assert all(type(t) is int for _, _, t in shears)
+        assert all(d in (1, -1) for d in diagonal)
+
+    def test_diagonal_needs_no_shears(self):
+        assert column_shears([[2, 0], [0, 3]]) == ([], [2, 3])
+        assert column_shears([]) == ([], [])
+
+    @pytest.mark.parametrize("g", [[[0]], [[1, 2], [2, 4]], [[0, 0], [0, 1]], [[1, 0], [1]]])
+    def test_singular_or_not_square(self, g):
+        with pytest.raises(DimensionMismatch):
+            column_shears(g)
 
 
 class TestInvert:

@@ -13,6 +13,8 @@ from tameprod.polynomials import (
     act_cols,
     act_rows,
     apply_diff,
+    scale_cols,
+    shear_cols,
     weight_monomials,
     wvar,
     zvar,
@@ -176,6 +178,35 @@ class TestActCols:
         lhs = act_cols(act_cols(f, g, "W"), h, "W")
         rhs = act_cols(f, matmul(h, g), "W")
         assert lhs == rhs
+
+
+class TestShearAndScaleCols:
+    def test_shear_moves_z_and_w_together(self):
+        # Z col 2 += 3 Z col 1 and W col 1 -= 3 W col 2
+        W12 = wvar(1, 2)
+        assert shear_cols(v(Z12), 1, 2, 3) == v(Z12) + 3 * v(Z11)
+        assert shear_cols(v(W11), 1, 2, 3) == v(W11) - 3 * v(W12)
+        assert shear_cols(v(Z11) * v(W12), 1, 2, 3) == v(Z11) * v(W12)
+        # the pairing Z11 W11 + Z12 W12 is invariant
+        pairing = v(Z11) * v(W11) + v(Z12) * v(W12)
+        assert shear_cols(pairing, 1, 2, Fraction(-5, 2)) == pairing
+
+    def test_series_ends_at_the_degree(self):
+        f = v(Z12, 4)
+        assert shear_cols(f, 1, 2, 2) == (v(Z12) + 2 * v(Z11)) ** 4
+        assert shear_cols(f, 1, 2, Fraction(1, 3)) == (v(Z12) + Fraction(1, 3) * v(Z11)) ** 4
+
+    def test_shear_needs_two_columns(self):
+        with pytest.raises(DimensionMismatch):
+            shear_cols(v(Z11), 1, 1, 2)
+
+    def test_scale(self):
+        f = v(Z11, 2) * v(W21) + v(Z12) * v(wvar(1, 2), 3)
+        assert scale_cols(f, [2, -1]) == 2 * v(Z11, 2) * v(W21) + v(Z12) * v(wvar(1, 2), 3)
+        assert scale_cols(f, [Fraction(1, 2), 3]) == (
+            Fraction(1, 2) * v(Z11, 2) * v(W21) + Fraction(1, 9) * v(Z12) * v(wvar(1, 2), 3)
+        )
+        assert scale_cols(f, [1, 1]) is f
 
 
 class TestSerialization:

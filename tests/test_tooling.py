@@ -79,3 +79,18 @@ def test_scripts_run():
     survey = run("scripts/stability_survey.py", "--seed", "1", "--cases", "2")
     assert survey.returncode == 0, survey.stderr
     assert "all stable spectra agree with the tableau oracle" in survey.stdout
+
+
+def test_record_bench_summary():
+    spec = importlib.util.spec_from_file_location("record_bench", ROOT / "scripts" / "record_bench.py")
+    record_bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(record_bench)
+    runs = [
+        {"correct": True, "attempted": 10, "failed": i // 4, "metrics": {"wall_s": {"value": x, "unit": "s"}}}
+        for i, x in enumerate([5.0, 1.0, 4.0, 2.0, 3.0])
+    ]
+    out = record_bench.summary(runs)
+    assert (out["correct"], out["attempted"], out["failed"]) == (True, 50, 1)
+    assert out["metrics"]["wall_s"] == {
+        "unit": "s", "median": 3.0, "q1": 2.0, "q3": 4.0, "values": [5.0, 1.0, 4.0, 2.0, 3.0]
+    }
