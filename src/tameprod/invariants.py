@@ -361,13 +361,10 @@ def diagonal_right_action(f: MultiPoly, g) -> MultiPoly:
     (at rank k = len(g)), and for it each shear costs one pass that
     returns 0.
     """
-    k = len(g)
-    if any(len(row) != k for row in g):
-        raise DimensionMismatch("matrix is not square")
-    for v in f.variables():
-        if v.matrix in ("Z", "W") and v.col > k:
-            raise DimensionMismatch(f"{v} has column above {k}")
     shears, diagonal = column_shears(g)
+    for v in f.variables():
+        if v.matrix in ("Z", "W") and v.col > len(g):
+            raise DimensionMismatch(f"{v} has column above {len(g)}")
     for p, c, t in shears:
         f = shear_cols(f, p + 1, c + 1, -t)
     return scale_cols(f, diagonal)

@@ -399,7 +399,8 @@ def shear_cols(f: MultiPoly, p: int, c: int, s) -> MultiPoly:
             return MultiPoly(total)
         n += 1
         for m, x in term.items():
-            # s^n/n! D^n f = (s/n) D(s^(n-1)/(n-1)! D^(n-1) f), integral for integral f and s
+            # s^n/n! D^n f is (s/n) times D of the previous term; it is
+            # integral whenever f and s are
             x = Fraction(x * s, n)
             term[m] = x = x.numerator if x.denominator == 1 else x
             total[m] = total.get(m, 0) + x

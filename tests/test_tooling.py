@@ -82,11 +82,13 @@ def test_scripts_run():
 
 
 def test_record_bench_summary():
-    spec = importlib.util.spec_from_file_location("record_bench", ROOT / "scripts" / "record_bench.py")
+    path = ROOT / "scripts" / "record_bench.py"
+    spec = importlib.util.spec_from_file_location("record_bench", path)
     record_bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(record_bench)
     runs = [
-        {"correct": True, "attempted": 10, "failed": i // 4, "metrics": {"wall_s": {"value": x, "unit": "s"}}}
+        {"correct": True, "attempted": 10, "failed": i // 4,
+         "metrics": {"wall_s": {"value": x, "unit": "s"}}}
         for i, x in enumerate([5.0, 1.0, 4.0, 2.0, 3.0])
     ]
     out = record_bench.summary(runs)
