@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
 """Record the benchmark's end-to-end metrics as one JSON file.
 
-Runs bench/run.py in a fresh subprocess N times per workload (seeds
-seed, seed+1, ...) and writes the git sha (and whether tracked files
-differ from it), the Python version, os.cpu_count() and, per workload, the
-median and quartiles of every end-to-end metric with the values of each
-run.  With --baseline, every run is paired with a run of the same workload
-and seed in another checkout (for example the parent commit), the order
-inside each pair alternating, and the file records both sides and how
-many pairs this checkout won on each metric.
+Runs bench/run.py in a fresh subprocess N times per workload of
+BENCHMARK.json (seeds 1..N, each run as long as its run_seconds) and
+writes the git sha (and whether tracked files differ from it), the Python
+version, os.cpu_count() and, per workload, the median and quartiles of
+every end-to-end metric with the values of each run.  With --baseline,
+every run is paired with a run of the same workload and seed in another
+checkout (for example the parent commit), the order inside each pair
+alternating, and the file records both sides and how many pairs this
+checkout won on each metric.
 
     python3 scripts/record_bench.py --runs 10 --out BENCH.json
-    python3 scripts/record_bench.py --workloads verify --baseline ../parent --out pair.json
+    python3 scripts/record_bench.py --baseline ../parent --out pair.json
 """
 
 from __future__ import annotations
@@ -73,34 +74,33 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", required=True, type=Path, help="JSON file to write")
     ap.add_argument("--runs", type=int, default=10, help="runs per workload (default 10)")
-    ap.add_argument("--seconds", type=float, default=spec["run_seconds"],
-                    help="length of each run (default: run_seconds of BENCHMARK.json)")
-    ap.add_argument("--seed", type=int, default=1, help="seed of the first run (default 1)")
-    ap.add_argument("--workloads", nargs="+", default=[w["name"] for w in spec["workloads"]])
     ap.add_argument("--baseline", type=Path, help="another checkout to pair every run with")
     args = ap.parse_args(argv)
     if args.runs < 2:
         ap.error("--runs must be at least 2 to give quartiles")
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
+    seeds = list(range(1, args.runs + 1))
 
     sides = {"change": ROOT}
     if args.baseline:
         sides["baseline"] = args.baseline.resolve()
-    results = {side: {w: [] for w in args.workloads} for side in sides}
-    for i in range(args.runs):
-        for w in args.workloads:
+    results = {side: {w: [] for w in workloads} for side in sides}
+    for i, seed in enumerate(seeds):
+        for w in workloads:
             order = list(sides) if i % 2 == 0 else list(sides)[::-1]
             for side in order:
-                out = run_once(sides[side], w, args.seed + i, args.seconds)
+                out = run_once(sides[side], w, seed, seconds)
                 results[side][w].append(out)
-                print(f"{side} {w} seed {args.seed + i}: wall_s "
+                print(f"{side} {w} seed {seed}: wall_s "
                       f"{out['metrics']['wall_s']['value']:.3f}", file=sys.stderr)
 
     record = {
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "runs": args.runs,
-        "seconds": args.seconds,
-        "seeds": [args.seed + i for i in range(args.runs)],
+        "seconds": seconds,
+        "seeds": seeds,
     }
     for side, root in sides.items():
         status = git(root, "status", "--porcelain", "--untracked-files=no")
@@ -120,7 +120,7 @@ def main(argv=None):
                 )
                 for name in results["change"][w][0]["metrics"] if name in lower
             }
-            for w in args.workloads
+            for w in workloads
         }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

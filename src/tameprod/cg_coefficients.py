@@ -105,7 +105,7 @@ def cg_table(basis, factor_states, f_star: MultiPoly):
     # f~ only uses the columns of f*, so expanding there suffices
     k = max(1, problem.q, f_star.max_col())
     table = []
-    for element in basis.elements(k):
+    for element in basis.iter_elements(k):
         ftilde = tilde_map(element, f_star).terms
         table.append([sum(ftilde.get(m, 0) * w for m, w in cell) for cell in cells])
     return table

@@ -11,6 +11,7 @@ matrices; expansion into Z/W variables happens only on demand.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -279,32 +280,44 @@ class InvariantBasis:
     def dimension(self) -> int:
         return len(self.vectors)
 
-    def element(self, i: int, k: int | None = None, expanded: dict | None = None) -> MultiPoly:
+    def element(self, i: int, k: int | None = None) -> MultiPoly:
         """Expand basis element i at rank k (default: the target length,
-        enough for the Fock pairing against the dual model).
+        enough for the Fock pairing against the dual model)."""
+        return self._expand(i, self._rank(k), {}, Counter())
 
-        `expanded`, if given, maps P-monomials to their expanded terms at
-        this k; it is read and filled, so a caller can share it between
-        elements.
-        """
-        if k is None:
-            k = max(1, self.problem.q)
-        if expanded is None:
-            expanded = {}
+    def elements(self, k: int | None = None) -> list:
+        """Expand every basis element, each distinct P-monomial once."""
+        return list(self.iter_elements(k))
+
+    def iter_elements(self, k: int | None = None):
+        """Yield the expanded basis elements in order.  Each distinct
+        P-monomial is expanded once, and its expansion is kept only while a
+        later element still uses it."""
+        k = self._rank(k)
+        uses = Counter(m for vec in self.vectors for c, m in zip(vec, self.monomials) if c)
+        expanded: dict = {}
+        for i in range(self.dimension):
+            yield self._expand(i, k, expanded, uses)
+
+    def _rank(self, k: int | None) -> int:
+        return max(1, self.problem.q) if k is None else k
+
+    def _expand(self, i: int, k: int, expanded: dict, uses: Counter) -> MultiPoly:
+        """Basis element i at rank k, summed term by term.  `uses` counts
+        the uses of each P-monomial still to come; `expanded` holds the
+        expansions whose count is positive and is updated in place."""
         total: dict = {}
         for c, mono in zip(self.vectors[i], self.monomials):
             if c:
-                terms = expanded.get(mono)
+                terms = expanded.pop(mono, None)
                 if terms is None:
-                    terms = expanded[mono] = monomial(self.problem, mono, k).terms
+                    terms = monomial(self.problem, mono, k).terms
+                uses[mono] -= 1
+                if uses[mono] > 0:
+                    expanded[mono] = terms
                 for m, x in terms.items():
                     total[m] = total.get(m, 0) + c * x
         return MultiPoly(total)
-
-    def elements(self, k: int | None = None):
-        """Expand every basis element, each distinct P-monomial once."""
-        expanded: dict = {}
-        return [self.element(i, k, expanded) for i in range(self.dimension)]
 
     def combination_label(self, i: int) -> str:
         parts = []

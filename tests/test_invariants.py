@@ -247,6 +247,25 @@ class TestExpandedInvariants:
         expected = v(zvar(1, 1)) * v(zvar(2, 1)) * v(wvar(1, 1), 2)
         assert monomial(prob, ell, 1) == expected
 
+    def test_elements_expand_each_monomial_once(self, monkeypatch):
+        import tameprod.invariants as inv
+
+        basis = invariant_basis(TensorProblem.build([sig(2, 1), sig(2, 1)], sig(3, 2, 1)))
+        singles = [basis.element(i, 3) for i in range(basis.dimension)]
+        calls = []
+
+        def counted(problem, ell, k):
+            calls.append(ell)
+            return monomial(problem, ell, k)
+
+        monkeypatch.setattr(inv, "monomial", counted)
+        assert basis.elements(3) == singles
+        used = {m for vec in basis.vectors for c, m in zip(vec, basis.monomials) if c}
+        assert sorted(calls, key=lambda m: m.rows) == sorted(used, key=lambda m: m.rows)
+        calls.clear()
+        assert list(basis.iter_elements(3)) == singles
+        assert len(calls) == len(used)
+
     def test_right_action_invariance(self):
         rng = random.Random(12)
         basis = invariant_basis(worked_problem())
