@@ -52,8 +52,7 @@ class SpanViolation(CalculusError):
 class SelfCheckError(CalculusError):
     """An internal self-check failed: the invariant-basis dimension disagrees
     with the Weyl multiplicity, a multiplier spectrum has a negative
-    multiplicity, the stabilization search overran its bound, or the
-    Schur decomposition did not terminate."""
+    multiplicity, or the stabilization search overran its bound."""
 
 
 class ExpressionSyntaxError(CalculusError):

@@ -3,14 +3,15 @@ calculus.
 
 Deliberately independent of weyl_calculus: polynomials here are plain
 exponent-tuple dicts built by tableau enumeration, and products are
-decomposed by repeated leading-term subtraction.
+decomposed by Weyl straightening.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import NotDominant, NotSymmetric, RankTooSmall, SelfCheckError
+from .errors import NotDominant, NotSymmetric, RankTooSmall
+from .linalg import perm_sign
 from .signatures import Signature, SignedSpectrum
 
 
@@ -68,30 +69,29 @@ def poly_mul(p: dict, q: dict) -> dict:
 
 
 def schur_decompose(p: dict, k: int) -> SignedSpectrum:
-    """Expand a symmetric polynomial in the Schur basis by lex subtraction."""
-    work = {e: c for e, c in p.items() if c}
-    out: dict[Signature, int] = {}
-    guard = 0
-    while work:
-        guard += 1
-        if guard >= 1_000_000:
-            raise SelfCheckError("schur_decompose failed to terminate")
-        lead = max(work)
-        t = lead
-        while t and t[-1] == 0:
-            t = t[:-1]
-        if (t and t[-1] < 0) or any(a < b for a, b in zip(t, t[1:])):
-            raise NotSymmetric(f"leading exponent {lead} is not a partition")
-        s = Signature(t)
-        c = work[lead]
-        out[s] = out.get(s, 0) + c
-        for e, cc in _schur_items(s.entries, k):
-            new = work.get(e, 0) - c * cc
-            if new:
-                work[e] = new
-            elif e in work:
-                del work[e]
-    return SignedSpectrum(out)
+    """Expand a symmetric polynomial in the Schur basis by straightening.
+
+    For symmetric p, p * a_rho is the antisymmetrization of p * x^rho with
+    rho = (k-1, ..., 0): a term c x^e with distinct e + rho adds sign * c to
+    lambda = sort_desc(e + rho) - rho, and the other terms cancel.
+    """
+    p = {e: c for e, c in p.items() if c}
+    # adjacent swaps generate S_k, so these checks find every asymmetry
+    for e, c in p.items():
+        if min(e, default=0) < 0:
+            raise NotSymmetric(f"negative exponent in {e}")
+        for i in range(len(e) - 1):
+            if p.get(e[:i] + (e[i + 1], e[i]) + e[i + 2 :], 0) != c:
+                raise NotSymmetric(f"swapping entries {i}, {i + 1} of {e} changes its coefficient")
+    rho = range(k - 1, -1, -1)
+    terms = []
+    for e, c in p.items():
+        v = [a + r for a, r in zip(e, rho)]
+        if len(set(v)) == len(v):
+            lam = [a - r for a, r in zip(sorted(v, reverse=True), rho)]
+            # perm_sign sorts ascending; negating v gives the descending sort
+            terms.append((lam, perm_sign([-a for a in v]) * c))
+    return SignedSpectrum(terms)
 
 
 def schur_product_decompose(factors, k: int) -> SignedSpectrum:

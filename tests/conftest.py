@@ -13,8 +13,13 @@ def random_signature(rng, max_entry=4, max_len=2, allow_empty=False):
 
 
 def random_unimodular(n, rng, shears=6, span=3):
-    """Product of integer elementary shears: unimodular with modest entries."""
+    """Product of integer elementary shears: unimodular with modest entries.
+
+    Below n = 2 there is no shear, and the identity is returned.
+    """
     m = identity(n)
+    if n < 2:
+        return m
     for _ in range(shears):
         a, b = rng.sample(range(n), 2)
         e = identity(n)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_unimodular
+from conftest import random_signature, random_unimodular
 from tameprod.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -24,7 +24,7 @@ from tameprod.invariants import (
 from tameprod.linalg import contragredient_matrix, identity, invert, matmul, rref
 from tameprod.lr_oracle import schur_product_decompose
 from tameprod.polynomials import MultiPoly, act_cols, act_rows, wvar, zvar
-from tameprod.signatures import sig
+from tameprod.signatures import normalize, sig
 from tameprod.weyl_calculus import multiplicity
 
 
@@ -238,6 +238,41 @@ class TestInvariantBasis:
             entries = [(j, x) for j, x in enumerate(row) if x]
             for vec in basis.vectors:
                 assert sum(x * vec[j] for j, x in entries) == 0
+
+
+class TestOracleDimension:
+    def test_random_problems(self, monkeypatch):
+        # the tableau oracle stands in for the multipliers in the self-check,
+        # so the dimension is checked through oracle -> invariants alone;
+        # k = the sum of the factor lengths holds every constituent
+        oracle = {}
+        monkeypatch.setattr(
+            "tameprod.weyl_calculus.multiplicity", lambda factors, target: oracle[target]
+        )
+        rng = random.Random(7117)
+        dimensions = []
+        while len(dimensions) < 40:
+            factors = [random_signature(rng, max_entry=3) for _ in range(rng.randint(2, 3))]
+            k = sum(f.length for f in factors)
+            spectrum = schur_product_decompose(factors, k)
+            if rng.random() < 0.7:
+                target = rng.choice(sorted(spectrum.items(), key=str))[0]
+            else:
+                # a random partition of the same degree, often of multiplicity 0
+                parts, d = [], sum(f.degree for f in factors)
+                while d:
+                    parts.append(rng.randint(1, d))
+                    d -= parts[-1]
+                target = normalize(sorted(parts, reverse=True))
+            prob = TensorProblem.build(factors, target)
+            # the dense constraint rows of a large problem cost too much memory
+            if len(diophantine_solutions(prob)) > 300:
+                continue
+            oracle[target] = spectrum[target]
+            dimension = invariant_basis(prob).dimension
+            assert dimension == spectrum[target]
+            dimensions.append(dimension)
+        assert min(dimensions) == 0 and max(dimensions) >= 4
 
 
 class TestExpandedInvariants:

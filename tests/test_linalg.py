@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
+from itertools import permutations
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import random_unimodular
 from tameprod.errors import DimensionMismatch
 from tameprod.linalg import (
     column_shears,
@@ -11,6 +14,7 @@ from tameprod.linalg import (
     invert,
     matmul,
     nullspace_primitive,
+    perm_sign,
     rank,
     rref,
     solve_dict_system,
@@ -209,3 +213,37 @@ class TestInvert:
     def test_singular(self, g):
         with pytest.raises(DimensionMismatch):
             invert(g)
+
+
+def cycle_sign(p):
+    """Sign of the permutation i -> p[i] of range(n), from its cycle lengths."""
+    sign, seen = 1, set()
+    for i in range(len(p)):
+        length, j = 0, i
+        while j not in seen:
+            seen.add(j)
+            j = p[j]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+class TestPermSign:
+    @pytest.mark.parametrize("n", range(0, 6))
+    def test_every_permutation(self, n):
+        for p in permutations(range(n)):
+            assert perm_sign(p) == cycle_sign(p)
+
+    @given(st.lists(st.integers(-50, 50), unique=True, max_size=8))
+    def test_distinct_integers(self, seq):
+        # the sign of a sequence is that of the permutation ranking it
+        order = sorted(seq)
+        assert perm_sign(seq) == cycle_sign([order.index(x) for x in seq])
+
+
+class TestRandomUnimodular:
+    def test_small_ranks_are_identity(self):
+        rng = random.Random(3)
+        assert random_unimodular(0, rng) == identity(0) == []
+        assert random_unimodular(1, rng) == identity(1) == [[1]]

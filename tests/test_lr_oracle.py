@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from conftest import random_signature
 from tameprod.errors import NotSymmetric, RankTooSmall
 from tameprod.lr_oracle import poly_mul, schur_decompose, schur_poly, schur_product_decompose
 from tameprod.signatures import SignedSpectrum, sig
@@ -62,3 +65,70 @@ class TestSchurDecompose:
 
     def test_zero(self):
         assert schur_decompose({}, 2) == SignedSpectrum()
+
+
+def random_combination(rng, k):
+    """A random integer combination of Schur polynomials at rank k, as a
+    polynomial and as the spectrum it should decompose to."""
+    p, spec = {}, {}
+    for _ in range(rng.randint(0, 4)):
+        lam = random_signature(rng, max_entry=4, max_len=min(k, 3), allow_empty=True)
+        c = rng.randint(-5, 5)
+        spec[lam] = spec.get(lam, 0) + c
+        for e, cc in schur_poly(lam, k).items():
+            p[e] = p.get(e, 0) + c * cc
+    return p, SignedSpectrum(spec)
+
+
+class TestStraightening:
+    def test_combination_round_trip(self):
+        rng = random.Random(6021)
+        for _ in range(300):
+            k = rng.randint(1, 5)
+            p, spec = random_combination(rng, k)
+            assert schur_decompose(p, k) == spec
+
+    def test_cancelling_combination(self):
+        # the combination minus itself: every coefficient is an explicit 0
+        rng = random.Random(6022)
+        for _ in range(50):
+            k = rng.randint(1, 5)
+            p, spec = random_combination(rng, k)
+            for lam, c in spec.items():
+                for e, cc in schur_poly(lam, k).items():
+                    p[e] -= c * cc
+            assert not any(p.values())
+            assert schur_decompose(p, k) == SignedSpectrum()
+
+    def test_perturbed_coefficient(self):
+        rng = random.Random(6023)
+        for _ in range(200):
+            k = rng.randint(2, 5)
+            p, _ = random_combination(rng, k)
+            # an exponent with two different entries differs from one of its
+            # swaps, whose coefficient stays as it was
+            e = [rng.randint(0, 4) for _ in range(k)]
+            e[0] = e[1] + rng.randint(1, 3)
+            rng.shuffle(e)
+            e = tuple(e)
+            p[e] = p.get(e, 0) + rng.choice([-2, -1, 1, 2])
+            with pytest.raises(NotSymmetric):
+                schur_decompose(p, k)
+
+    def test_negative_exponent(self):
+        rng = random.Random(6024)
+        for _ in range(200):
+            k = rng.randint(1, 5)
+            p, _ = random_combination(rng, k)
+            e = [rng.randint(0, 3) for _ in range(k)]
+            e[rng.randrange(k)] = -rng.randint(1, 3)
+            p[tuple(e)] = p.get(tuple(e), 0) + rng.randint(1, 3)
+            with pytest.raises(NotSymmetric):
+                schur_decompose(p, k)
+
+    def test_symmetric_negative_exponents(self):
+        # symmetric under every swap, but not a polynomial
+        with pytest.raises(NotSymmetric):
+            schur_decompose({(-1,): 1}, 1)
+        with pytest.raises(NotSymmetric):
+            schur_decompose({(-1, -1): 1, (1, 1): 2}, 2)

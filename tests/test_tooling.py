@@ -27,6 +27,20 @@ def test_no_assert_in_program_files():
     assert not found, "assert statements in program files: " + ", ".join(found)
 
 
+def test_oracle_is_independent():
+    # lr_oracle cross-checks weyl_calculus and the invariant dimensions, so it
+    # may import neither
+    path = ROOT / "src" / "tameprod" / "lr_oracle.py"
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module or ''}.{a.name}" for a in node.names]
+    found = [n for n in imported if {"weyl_calculus", "invariants"} & set(n.split("."))]
+    assert not found, "lr_oracle imports: " + ", ".join(found)
+
+
 def test_caches_are_bounded():
     # an unbounded functools cache grows with every distinct query of a
     # long-lived process

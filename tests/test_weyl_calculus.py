@@ -1,4 +1,5 @@
 import random
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_signature
 from tameprod import weyl_calculus
 from tameprod.errors import EmptyProduct, RankTooSmall, SelfCheckError
-from tameprod.lr_oracle import schur_product_decompose
+from tameprod.lr_oracle import schur_poly, schur_product_decompose
 from tameprod.signatures import SignedSpectrum, sig
 from tameprod.weyl_calculus import (
     compound_multiplier,
@@ -207,3 +208,17 @@ class TestOracleAgreement:
             factors = [random_signature(rng) for _ in range(rng.randint(1, 3))]
             k = rng.randint(2, 5)
             assert tensor_decompose(factors, k) == schur_product_decompose(factors, k)
+
+    def test_wider_ranges(self):
+        # up to 3 rows, entries up to 4, up to 4 factors, k up to 6; a draw
+        # whose product of factor dimensions at k exceeds the cap is skipped
+        cap = 1_000_000
+        rng = random.Random(5150)
+        cases = 0
+        while cases < 300:
+            factors = [random_signature(rng, max_len=3) for _ in range(rng.randint(1, 4))]
+            k = rng.randint(max(f.length for f in factors), 6)
+            if prod(sum(schur_poly(f, k).values()) for f in factors) > cap:
+                continue
+            assert tensor_decompose(factors, k) == schur_product_decompose(factors, k)
+            cases += 1
