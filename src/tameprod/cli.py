@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from itertools import product as iproduct
 
 from . import weyl_calculus
@@ -59,7 +60,7 @@ def parse_expression(text: str):
             j = i
             if i < n and text[i] in "+-":
                 i += 1
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdecimal():
                 i += 1
             if not text[j:i].lstrip("+-"):
                 raise ExpressionSyntaxError("expected integer", _boff(text, j))
@@ -103,7 +104,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@lru_cache(maxsize=1)
 def _build_parser():
+    """The argparse tree, built on first use and then shared: parsing
+    leaves no state on it."""
     p = _Parser(prog="tameprod", description="Tensor product calculus for unitary groups")
     sub = p.add_subparsers(dest="command", required=True)
 

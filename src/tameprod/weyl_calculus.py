@@ -7,6 +7,12 @@ determinant with (i, j) entry the simple multiplier of order
 alpha_i - i + j, expanded over permutations with sign and applied
 factor by factor (simple multipliers commute).  Each simple multiplier is
 enumerated once per (order, beta, k) and shared by every compound multiplier.
+
+The stabilization index takes one fold, at the bound k = sum of the factor
+lengths, where the sorted row union of the factors occurs exactly once (the
+self-check).  Below the bound the spectrum at rank k is that stable spectrum
+cut to signatures of length <= k, since s_lambda(x_1..x_k) = 0 when
+l(lambda) > k; so the index is read off as its longest signature.
 """
 
 from __future__ import annotations
@@ -113,21 +119,17 @@ def tensor_decompose(factors, k: int) -> SignedSpectrum:
 
 
 def stabilization_index(factors) -> int:
-    """Least k at which the spectrum stops changing (bounded by sum of lengths)."""
+    """Least k at which the spectrum stops changing: the longest signature
+    in the spectrum at the bound k = sum of lengths, below which the
+    spectrum is that one cut to lengths <= k."""
     factors = list(factors)
     if not factors:
         raise EmptyProduct("no factors given")
-    k = max((f.length for f in factors), default=0)
-    bound = sum(f.length for f in factors)
-    prev = tensor_decompose(factors, k) if k else SignedSpectrum({factors[0]: 1})
-    while True:
-        nxt = tensor_decompose(factors, k + 1)
-        if nxt == prev:
-            return k
-        if k >= bound:
-            raise SelfCheckError(f"spectrum still changing past the bound k={bound}")
-        prev = nxt
-        k += 1
+    spec = tensor_decompose(factors, sum(f.length for f in factors))
+    union = Signature(tuple(sorted((x for f in factors for x in f.entries), reverse=True)))
+    if spec[union] != 1:
+        raise SelfCheckError(f"row union {union} has multiplicity {spec[union]}, not 1")
+    return max(s.length for s in spec)
 
 
 def stable_decompose(factors) -> SignedSpectrum:

@@ -1,8 +1,9 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tameprod import cg_coefficients, cli, fock_pairing
+from tameprod import cg_coefficients, cli, fock_pairing, weyl_calculus
 from tameprod.cli import main, parse_expression
 from tameprod.errors import ExpressionSyntaxError
 from tameprod.signatures import SignedSpectrum, sig
@@ -46,6 +47,64 @@ class TestParseExpression:
 
         with pytest.raises(NotDominant):
             parse_expression("(1,2)")
+
+
+GRAMMAR = "()+-,xX⊗"
+WS = st.text(alphabet=" \t\n", max_size=2)
+SIGNATURES = st.lists(st.integers(1, 30), max_size=4).map(lambda e: sig(*sorted(e, reverse=True)))
+
+
+@st.composite
+def expressions(draw):
+    """(text, factors, target): a product rendered with random separators
+    and whitespace between every two tokens."""
+    factors = draw(st.lists(SIGNATURES, min_size=1, max_size=4))
+    target = draw(st.none() | SIGNATURES)
+
+    def render(s):
+        parts = [draw(WS), "(", draw(WS)]
+        for j, x in enumerate(s.entries):
+            parts += ([draw(WS), ",", draw(WS)] if j else []) + [str(x)]
+        return "".join(parts + [draw(WS), ")", draw(WS)])
+
+    text = render(factors[0])
+    for f in factors[1:]:
+        text += draw(st.sampled_from("xX⊗")) + render(f)
+    if target is not None:
+        text += "->" + render(target)
+    return text, factors, target
+
+
+class TestParseExpressionFuzz:
+    @given(expressions())
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip(self, case):
+        text, factors, target = case
+        assert parse_expression(text) == (factors, target)
+
+    @given(
+        expressions(),
+        st.data(),
+        st.characters(blacklist_categories=("Cs",)).filter(
+            lambda c: not c.isspace() and not c.isdecimal() and c not in GRAMMAR
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_stray_character_offset(self, case, data, stray):
+        text = case[0]
+        # not between the two characters of '->'
+        at = data.draw(
+            st.integers(0, len(text)).filter(lambda i: text[i - 1 : i + 1] != "->")
+        )
+        with pytest.raises(ExpressionSyntaxError) as e:
+            parse_expression(text[:at] + stray + text[at:])
+        # the offset counts UTF-8 bytes: each '⊗' before the fault is 3
+        assert e.value.offset == at + 2 * text[:at].count("⊗")
+
+    def test_superscript_digit_is_syntax_error(self):
+        with pytest.raises(ExpressionSyntaxError) as e:
+            parse_expression("(1²)")
+        assert e.value.offset == 2
 
 
 class TestDecompose:
@@ -99,6 +158,34 @@ class TestMultiplicityAndStabilize:
         code, out, _ = run(capsys, "stabilize", "(1)x(2)x(2)x(3)")
         assert code == 0
         assert out.strip() == "4"
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (("stabilize", "()"), "0"),
+            (("stabilize", "()x(2,1)"), "2"),
+            (("multiplicity", "()->()"), "1"),
+        ],
+    )
+    def test_empty_factors(self, capsys, argv, expected):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (0, expected + "\n", "")
+
+    @pytest.mark.parametrize(
+        "argv", [("stabilize", "(2,1)x(1)"), ("multiplicity", "(2,1)x(1) -> (3,1)")]
+    )
+    def test_missing_row_union_is_exit_3(self, capsys, monkeypatch, argv):
+        real = weyl_calculus.tensor_decompose
+
+        def without_union(factors, k):
+            spec = real(factors, k)
+            return SignedSpectrum({s: m for s, m in spec.items() if s != sig(2, 1, 1)})
+
+        monkeypatch.setattr(weyl_calculus, "tensor_decompose", without_union)
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("self-check failed:")
 
 
 class TestInvariants:
@@ -178,6 +265,18 @@ class TestCgc:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "outside Z rows 1..1" in err
+
+
+class TestParserReuse:
+    def test_built_once(self, capsys):
+        cli._build_parser.cache_clear()
+        first = run(capsys, "decompose", "(2,1)x(1)", "--json")
+        assert run(capsys, "decompose", "--k", "2")[0] == 1
+        third = run(capsys, "decompose", "(2,1)x(1)", "--json")
+        assert cli._build_parser.cache_info().misses == 1
+        # a failed parse leaves no state on the shared parser
+        assert first[0] == 0
+        assert third == first
 
 
 class TestExitCodes:

@@ -190,6 +190,64 @@ class TestStabilization:
         assert stabilization_index([sig(3, 1)]) == 2
 
 
+def search_index(factors):
+    """The stabilization index by search: fold from the longest factor
+    length upwards until two consecutive spectra agree."""
+    k = max(f.length for f in factors)
+    prev = tensor_decompose(factors, k)
+    while True:
+        nxt = tensor_decompose(factors, k + 1)
+        if nxt == prev:
+            return k
+        prev = nxt
+        k += 1
+
+
+def seeded_products(seed, count):
+    """Up to 4 factors of at most 3 rows, some empty, lengths summing to <= 6."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        factors = [
+            random_signature(rng, max_entry=3, max_len=3, allow_empty=True)
+            for _ in range(rng.randint(1, 4))
+        ]
+        if sum(f.length for f in factors) <= 6:
+            out.append(factors)
+    return out
+
+
+class TestStabilizationFromOneFold:
+    PRODUCTS = seeded_products(8, 60)
+
+    def test_matches_search(self):
+        for factors in self.PRODUCTS:
+            assert stabilization_index(factors) == search_index(factors), factors
+
+    def test_truncation_law(self):
+        # below the bound, the spectrum at rank k is the stable spectrum cut
+        # to signatures of length <= k; at bound + 1 it is the stable one
+        for factors in self.PRODUCTS:
+            stable = stable_decompose(factors)
+            bound = sum(f.length for f in factors)
+            for k in range(max(f.length for f in factors), bound + 2):
+                cut = SignedSpectrum({s: m for s, m in stable.items() if s.length <= k})
+                assert tensor_decompose(factors, k) == cut, (factors, k)
+
+    def test_missing_row_union_is_self_check_error(self, monkeypatch):
+        real = weyl_calculus.tensor_decompose
+
+        def without_union(factors, k):
+            union = sig(*sorted((x for f in factors for x in f.entries), reverse=True))
+            return SignedSpectrum({s: m for s, m in real(factors, k).items() if s != union})
+
+        monkeypatch.setattr(weyl_calculus, "tensor_decompose", without_union)
+        with pytest.raises(SelfCheckError, match="row union"):
+            stabilization_index([sig(2, 1), sig(1)])
+        with pytest.raises(SelfCheckError):
+            multiplicity([sig(1), sig(1)], sig(2))
+
+
 class TestMultiplicity:
     def test_worked_example(self):
         factors = [sig(1), sig(2), sig(2), sig(3)]
