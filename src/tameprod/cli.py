@@ -144,15 +144,7 @@ def _parse_nonnegative(text: str):
     return factors, target
 
 
-def _require_target(target):
-    if target is None:
-        raise _UsageError("this command needs a '-> (target)' clause")
-
-
-def _cmd_decompose(args):
-    factors, target = _parse_nonnegative(args.expr)
-    if target is not None:
-        raise _UsageError("decompose takes no target; use multiplicity")
+def _cmd_decompose(args, factors, target):
     k = args.k if args.k is not None else sum(f.length for f in factors)
     spec = weyl_calculus.tensor_decompose(factors, k)
     if args.json:
@@ -163,26 +155,19 @@ def _cmd_decompose(args):
     return 0
 
 
-def _cmd_multiplicity(args):
-    factors, target = _parse_nonnegative(args.expr)
-    _require_target(target)
+def _cmd_multiplicity(args, factors, target):
     m = weyl_calculus.multiplicity(factors, target)
     print(json.dumps({"multiplicity": m}) if args.json else m)
     return 0
 
 
-def _cmd_stabilize(args):
-    factors, target = _parse_nonnegative(args.expr)
-    if target is not None:
-        raise _UsageError("stabilize takes no target")
+def _cmd_stabilize(args, factors, target):
     k = weyl_calculus.stabilization_index(factors)
     print(json.dumps({"stabilization_index": k}) if args.json else k)
     return 0
 
 
-def _cmd_invariants(args):
-    factors, target = _parse_nonnegative(args.expr)
-    _require_target(target)
+def _cmd_invariants(args, factors, target):
     problem = TensorProblem.build(factors, target)
     basis = invariant_basis(problem)
     obj = basis.to_json_obj()
@@ -206,9 +191,7 @@ def _cmd_invariants(args):
     return 0
 
 
-def _cmd_cgc(args):
-    factors, target = _parse_nonnegative(args.expr)
-    _require_target(target)
+def _cmd_cgc(args, factors, target):
     problem = TensorProblem.build(factors, target)
     basis = invariant_basis(problem)
     kx = max(1, problem.q)
@@ -233,12 +216,13 @@ def _cmd_cgc(args):
     return 0
 
 
+# subcommand -> (handler, whether its expression needs a "-> (target)" clause)
 _COMMANDS = {
-    "decompose": _cmd_decompose,
-    "multiplicity": _cmd_multiplicity,
-    "stabilize": _cmd_stabilize,
-    "invariants": _cmd_invariants,
-    "cgc": _cmd_cgc,
+    "decompose": (_cmd_decompose, False),
+    "multiplicity": (_cmd_multiplicity, True),
+    "stabilize": (_cmd_stabilize, False),
+    "invariants": (_cmd_invariants, True),
+    "cgc": (_cmd_cgc, True),
 }
 
 
@@ -246,7 +230,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        command, needs_target = _COMMANDS[args.command]
+        factors, target = _parse_nonnegative(args.expr)
+        if (target is not None) != needs_target:
+            rule = "needs a" if needs_target else "takes no"
+            raise _UsageError(f"{args.command} {rule} '-> (target)' clause")
+        return command(args, factors, target)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

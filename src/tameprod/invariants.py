@@ -24,7 +24,7 @@ from .errors import (
 )
 from .linalg import column_shears, nullspace_primitive
 from .polynomials import MultiPoly, scale_cols, shear_cols, wvar, zvar
-from .signatures import Signature
+from .signatures import Signature, compositions
 
 
 @lru_cache(maxsize=128)
@@ -170,29 +170,15 @@ def diophantine_solutions(problem: TensorProblem):
     col_sums = list(problem.target.entries)
     if sum(row_sums) != sum(col_sums):
         return []
-    q = len(col_sums)
-    if q == 0:
-        return [ExponentMatrix(tuple(() for _ in row_sums))] if not any(row_sums) else []
 
     out = []
-
-    def rows_for(total, remaining):
-        def rec(j, rem, prefix):
-            if j == q - 1:
-                if rem <= remaining[j]:
-                    yield prefix + (rem,)
-                return
-            for v in range(min(rem, remaining[j]) + 1):
-                yield from rec(j + 1, rem - v, prefix + (v,))
-
-        yield from rec(0, total, ())
 
     def fill(i, remaining, acc):
         if i == len(row_sums):
             if all(r == 0 for r in remaining):
                 out.append(ExponentMatrix(tuple(acc)))
             return
-        for row in rows_for(row_sums[i], remaining):
+        for row in compositions(row_sums[i], remaining):
             fill(i + 1, [r - v for r, v in zip(remaining, row)], acc + [row])
 
     fill(0, col_sums, [])

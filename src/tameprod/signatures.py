@@ -82,6 +82,25 @@ def interleaves(m: Signature, h: Signature) -> bool:
     return all(he[i] >= me[i] >= he[i + 1] for i in range(l))
 
 
+def compositions(total: int, caps):
+    """Weak compositions of total with part i at most caps[i], in ascending
+    lexicographic order."""
+    n = len(caps)
+
+    def rec(j, rem, prefix):
+        if j == n - 1:
+            if 0 <= rem <= caps[j]:
+                yield prefix + (rem,)
+            return
+        for v in range(min(rem, caps[j]) + 1):
+            yield from rec(j + 1, rem - v, prefix + (v,))
+
+    if n:
+        yield from rec(0, total, ())
+    elif total == 0:
+        yield ()
+
+
 class SignedSpectrum:
     """Finitely supported integer combination of signatures.
 

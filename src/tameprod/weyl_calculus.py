@@ -5,8 +5,10 @@ at most s_i = beta_i - beta_{i+1} of them in row i+1 (the first row takes
 any number).  A compound multiplier for a signature alpha is the l x l
 determinant with (i, j) entry the simple multiplier of order
 alpha_i - i + j, expanded over permutations with sign and applied
-factor by factor (simple multipliers commute).  Each simple multiplier is
-enumerated once per (order, beta, k) and shared by every compound multiplier.
+factor by factor (simple multipliers commute).  A horizontal strip starts
+at most one new row, so each simple multiplier is enumerated once per order,
+signature and whether a new row may start (k above the signature's length),
+and shared by every compound multiplier at every rank.
 
 The stabilization index takes one fold, at the bound k = sum of the factor
 lengths, where the sorted row union of the factors occurs exactly once (the
@@ -22,7 +24,7 @@ from itertools import permutations
 
 from .errors import EmptyProduct, NotDominant, RankTooSmall, SelfCheckError
 from .linalg import perm_sign
-from .signatures import Signature, SignedSpectrum
+from .signatures import Signature, SignedSpectrum, compositions
 
 
 def _trimmed(entries) -> Signature:
@@ -32,40 +34,22 @@ def _trimmed(entries) -> Signature:
     return Signature(t)
 
 
-def _compositions(total, k, caps):
-    """Weak compositions (nu_1..nu_k) of total with nu_{i+1} <= caps[i-1]."""
-    if k == 0:
-        if total == 0:
-            yield ()
-        return
-
-    def rec(i, remaining, prefix):
-        if i == k:
-            if remaining == 0:
-                yield prefix
-            return
-        hi = remaining if i == 0 else min(remaining, caps[i - 1])
-        for v in range(hi, -1, -1):
-            yield from rec(i + 1, remaining - v, prefix + (v,))
-
-    yield from rec(0, total, ())
-
-
 @lru_cache(maxsize=32768)
-def _apply_simple(order, beta: Signature, k: int) -> tuple[Signature, ...]:
-    """The signatures produced by one simple multiplier (each once)."""
+def _apply_simple(order, beta: Signature, grow: bool) -> tuple[Signature, ...]:
+    """The signatures produced by one simple multiplier (each once); a new
+    row may start only if grow."""
     if order < 0:
         return ()
-    b = beta.pad(k)
-    caps = [b[i] - b[i + 1] for i in range(k - 1)]
-    return tuple(_trimmed(b[i] + nu[i] for i in range(k)) for nu in _compositions(order, k, caps))
+    b = beta.entries + (0,) if grow else beta.entries
+    caps = ((order,) + tuple(x - y for x, y in zip(b, b[1:])))[: len(b)]
+    return tuple(_trimmed(x + v for x, v in zip(b, nu)) for nu in compositions(order, caps))
 
 
 def simple_multiplier(order: int, beta: Signature, k: int) -> SignedSpectrum:
     """Spectrum of the order-a simple multiplier applied to beta at rank k."""
     if k < beta.length:
         raise RankTooSmall(f"k={k} below length of {beta}")
-    return SignedSpectrum(dict.fromkeys(_apply_simple(order, beta, k), 1))
+    return SignedSpectrum(dict.fromkeys(_apply_simple(order, beta, beta.length < k), 1))
 
 
 @lru_cache(maxsize=16384)
@@ -87,7 +71,7 @@ def compound_multiplier(alpha: Signature, beta: Signature, k: int) -> SignedSpec
         for order in orders:
             nxt: dict[Signature, int] = {}
             for s, m in spec.items():
-                for out in _apply_simple(order, s, k):
+                for out in _apply_simple(order, s, s.length < k):
                     nxt[out] = nxt.get(out, 0) + m
             spec = nxt
             if not spec:

@@ -134,6 +134,12 @@ class TestDecompose:
             outs.append(out)
         assert outs[0] == outs[1] == outs[2]
 
+    def test_large_k_same_as_stable(self, capsys):
+        # no work or recursion depth grows with k
+        code, out, err = run(capsys, "decompose", "(2,1)x(1)", "--k", "5000", "--json")
+        assert (code, err) == (0, "")
+        assert out == run(capsys, "decompose", "(2,1)x(1)", "--k", "3", "--json")[1]
+
     def test_target_rejected(self, capsys):
         code, _, err = run(capsys, "decompose", "(1)x(1) -> (2)")
         assert code == 1
@@ -325,6 +331,22 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert "usage error" in err
+
+    @pytest.mark.parametrize(
+        "command, expr, rule",
+        [
+            ("decompose", "(1)x(1) -> (2)", "takes no"),
+            ("stabilize", "(1)x(1) -> (2)", "takes no"),
+            ("multiplicity", "(1)x(1)", "needs a"),
+            ("invariants", "(1)x(1)", "needs a"),
+            ("cgc", "(1)x(1)", "needs a"),
+        ],
+    )
+    def test_target_clause_rule(self, capsys, command, expr, rule):
+        code, out, err = run(capsys, command, expr)
+        assert code == 1
+        assert out == ""
+        assert err == f"usage error: {command} {rule} '-> (target)' clause\n"
 
     def test_rank_too_small_usage(self, capsys):
         code, _, _ = run(capsys, "decompose", "(2,1)", "--k", "1")

@@ -1,8 +1,18 @@
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
 from tameprod.errors import MixedSigns, NotDominant, TooShort
-from tameprod.signatures import Signature, SignedSpectrum, interleaves, normalize, sig
+from tameprod.signatures import (
+    Signature,
+    SignedSpectrum,
+    compositions,
+    interleaves,
+    normalize,
+    sig,
+)
 
 
 def decreasing_tuples(min_entry=-6, max_entry=6, max_len=5):
@@ -76,6 +86,31 @@ class TestInterleaves:
         top = (m.entries[0] if m.entries else 0) + extra
         h = normalize((top,) + m.entries)
         assert interleaves(m, h)
+
+
+def brute_compositions(total, caps):
+    return [c for c in product(*(range(c + 1) for c in caps)) if sum(c) == total]
+
+
+class TestCompositions:
+    def test_matches_brute_force_in_order(self):
+        rng = random.Random(9)
+        for _ in range(300):
+            caps = tuple(rng.randint(0, 4) for _ in range(rng.randint(0, 5)))
+            total = rng.randint(-2, sum(caps) + 2)
+            assert list(compositions(total, caps)) == brute_compositions(total, caps), (
+                total,
+                caps,
+            )
+
+    def test_edges(self):
+        assert list(compositions(0, ())) == [()]
+        assert list(compositions(1, ())) == []
+        assert list(compositions(-1, (3,))) == []
+        assert list(compositions(-1, (3, 3))) == []
+        assert list(compositions(7, (3, 3))) == []
+        assert list(compositions(6, (3, 3))) == [(3, 3)]
+        assert list(compositions(2, (2, 0, 1))) == [(1, 0, 1), (2, 0, 0)]
 
 
 class TestSignedSpectrum:

@@ -40,6 +40,11 @@ class TestSimpleMultiplier:
         with pytest.raises(RankTooSmall):
             simple_multiplier(1, sig(2, 1), 1)
 
+    def test_large_rank_is_rank_free(self):
+        # a strip starts at most one new row, so no work or recursion depth
+        # grows with k
+        assert simple_multiplier(1, sig(1), 5000) == simple_multiplier(1, sig(1), 2)
+
     def test_outputs_are_interleaving_extensions(self):
         # the row caps say exactly: beta interleaves every output
         from tameprod.signatures import interleaves
@@ -95,6 +100,17 @@ class TestCompoundMultiplier:
         tensor_decompose([sig(2, 1), sig(2, 1), sig(2, 1)], 4)
         assert weyl_calculus._apply_simple.cache_info().hits > 0
         assert not hasattr(simple_multiplier, "cache_info")
+
+    def test_strip_cache_is_rank_free(self):
+        # above the longest signature every rank asks for the same strips
+        factors = [sig(2, 1), sig(2), sig(1, 1)]
+        bound = sum(f.length for f in factors)
+        compound_multiplier.cache_clear()
+        weyl_calculus._apply_simple.cache_clear()
+        tensor_decompose(factors, bound + 1)
+        misses = weyl_calculus._apply_simple.cache_info().misses
+        tensor_decompose(factors, bound + 5)
+        assert weyl_calculus._apply_simple.cache_info().misses == misses
 
 
 class TestTensorDecompose:
