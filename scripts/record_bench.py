@@ -9,7 +9,9 @@ every end-to-end metric with the values of each run.  With --baseline,
 every run is paired with a run of the same workload and seed in another
 checkout (for example the parent commit), the order inside each pair
 alternating, and the file records both sides and how many pairs this
-checkout won on each metric.
+checkout won on each metric.  After the end-to-end runs, one --trace 1 run
+per workload and side (seed 1) gives the per-layer metrics, recorded under
+"layers" beside that workload's summary.
 
     python3 scripts/record_bench.py --runs 10 --out BENCH.json
     python3 scripts/record_bench.py --baseline ../parent --out pair.json
@@ -38,10 +40,10 @@ def git(root: Path, *argv):
     return out.stdout.strip()
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """One bench/run.py run in a fresh interpreter; its final JSON line."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr}")
@@ -109,6 +111,10 @@ def main(argv=None):
             "tracked_files_modified": None if status is None else bool(status),
             "workloads": {w: summary(rs) for w, rs in results[side].items()},
         }
+    for w in workloads:
+        for side, root in sides.items():
+            traced = run_once(root, w, seeds[0], seconds, trace=1)
+            record[side]["workloads"][w]["layers"] = traced["metrics"]
     if args.baseline:
         # pairs the change wins, by metric, where lower is better
         lower = {m["name"] for m in spec["end_to_end"] if m["better"] == "lower"}

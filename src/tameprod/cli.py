@@ -3,13 +3,15 @@
 Expression grammar:  sig ("x" | "⊗" sig)* ("->" sig)?   with
 sig = "(" int ("," int)* ")".  Exit codes: 0 success, 1 usage error
 (including a signature with a negative entry, which every subcommand
-rejects), 2 expression/parse error, 3 failed internal self-check.
+rejects), 2 expression/parse error, 3 failed internal self-check, 141
+stdout closed by its reader (the code a shell gives SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 from itertools import product as iproduct
@@ -235,7 +237,17 @@ def main(argv=None) -> int:
         if (target is not None) != needs_target:
             rule = "needs a" if needs_target else "takes no"
             raise _UsageError(f"{args.command} {rule} '-> (target)' clause")
-        return command(args, factors, target)
+        code = command(args, factors, target)
+        # flush here, so that a closed stdout fails inside this try
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull so that the flush at
+        # exit cannot fail again, and exit as a shell reports SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

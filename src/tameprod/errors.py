@@ -51,9 +51,9 @@ class SpanViolation(CalculusError):
 
 class SelfCheckError(CalculusError):
     """An internal self-check failed: the invariant-basis dimension disagrees
-    with the Weyl multiplicity, a multiplier spectrum has a negative
-    multiplicity, or the sorted row union of the factors does not occur
-    exactly once in the spectrum at the stabilization bound."""
+    with the Weyl multiplicity, a multiplier or oracle spectrum has a
+    negative multiplicity, or the sorted row union of the factors does not
+    occur exactly once in the spectrum at the stabilization bound."""
 
 
 class ExpressionSyntaxError(CalculusError):

@@ -2,15 +2,18 @@
 calculus.
 
 Deliberately independent of weyl_calculus: polynomials here are plain
-exponent-tuple dicts built by tableau enumeration, and products are
-decomposed by Weyl straightening.
+exponent-tuple dicts built by tableau enumeration, and decomposed by Weyl
+straightening.  A product of Schur polynomials is folded one factor at a
+time (Brauer-Klimyk): the spectrum so far, read as the polynomial
+sum c x^lambda, times the next Schur polynomial straightens to the spectrum
+with that factor added, so the full product polynomial is never built.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import NotDominant, NotSymmetric, RankTooSmall
+from .errors import NotDominant, NotSymmetric, RankTooSmall, SelfCheckError
 from .linalg import perm_sign
 from .signatures import Signature, SignedSpectrum
 
@@ -68,12 +71,29 @@ def poly_mul(p: dict, q: dict) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
+def _straighten(p: dict, k: int) -> dict:
+    """Straighten every term of p: {padded lambda: coeff}, zeros dropped.
+
+    A term c x^e with distinct e + rho, rho = (k-1, ..., 0), adds sign * c
+    to lambda = sort_desc(e + rho) - rho, where sign is that of the sort;
+    a term with a repeated entry antisymmetrizes to zero.
+    """
+    rho = range(k - 1, -1, -1)
+    out: dict[tuple, int] = {}
+    for e, c in p.items():
+        v = [a + r for a, r in zip(e, rho)]
+        if len(set(v)) == len(v):
+            lam = tuple(a - r for a, r in zip(sorted(v, reverse=True), rho))
+            # perm_sign sorts ascending; negating v gives the descending sort
+            out[lam] = out.get(lam, 0) + perm_sign([-a for a in v]) * c
+    return {lam: c for lam, c in out.items() if c}
+
+
 def schur_decompose(p: dict, k: int) -> SignedSpectrum:
     """Expand a symmetric polynomial in the Schur basis by straightening.
 
-    For symmetric p, p * a_rho is the antisymmetrization of p * x^rho with
-    rho = (k-1, ..., 0): a term c x^e with distinct e + rho adds sign * c to
-    lambda = sort_desc(e + rho) - rho, and the other terms cancel.
+    For symmetric p, p * a_rho is the antisymmetrization of p * x^rho, so
+    the Schur coefficients are the straightened terms of p.
     """
     p = {e: c for e, c in p.items() if c}
     # adjacent swaps generate S_k, so these checks find every asymmetry
@@ -83,20 +103,22 @@ def schur_decompose(p: dict, k: int) -> SignedSpectrum:
         for i in range(len(e) - 1):
             if p.get(e[:i] + (e[i + 1], e[i]) + e[i + 2 :], 0) != c:
                 raise NotSymmetric(f"swapping entries {i}, {i + 1} of {e} changes its coefficient")
-    rho = range(k - 1, -1, -1)
-    terms = []
-    for e, c in p.items():
-        v = [a + r for a, r in zip(e, rho)]
-        if len(set(v)) == len(v):
-            lam = [a - r for a, r in zip(sorted(v, reverse=True), rho)]
-            # perm_sign sorts ascending; negating v gives the descending sort
-            terms.append((lam, perm_sign([-a for a in v]) * c))
-    return SignedSpectrum(terms)
+    return SignedSpectrum(_straighten(p, k))
 
 
 def schur_product_decompose(factors, k: int) -> SignedSpectrum:
-    """Decompose a product of Schur polynomials at rank k (the oracle)."""
-    prod = {(0,) * k: 1}
+    """Decompose a product of Schur polynomials at rank k (the oracle).
+
+    Multiplying by a symmetric polynomial commutes with antisymmetrization,
+    so s_lambda * s_mu * a_rho = A(x^(lambda + rho) * s_mu): each step
+    straightens the spectrum so far times one Schur polynomial, with no
+    symmetry check.  Every step's spectrum is a character, so a negative
+    multiplicity raises SelfCheckError.
+    """
+    spec = {(0,) * k: 1}
     for m in factors:
-        prod = poly_mul(prod, schur_poly(m, k))
-    return schur_decompose(prod, k)
+        spec = _straighten(poly_mul(spec, schur_poly(m, k)), k)
+        for lam, c in spec.items():
+            if c < 0:
+                raise SelfCheckError(f"negative multiplicity {c} of {lam} after the factor {m}")
+    return SignedSpectrum(spec)

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+from math import prod
+
 from tameprod.linalg import identity, matmul
 # weight_monomials is re-exported: the tests import it from here
 from tameprod.polynomials import MultiPoly, weight_monomials, wvar, zvar
@@ -10,6 +12,13 @@ def random_signature(rng, max_entry=4, max_len=2, allow_empty=False):
     length = rng.randint(0 if allow_empty else 1, max_len)
     entries = sorted((rng.randint(1, max_entry) for _ in range(length)), reverse=True)
     return normalize(entries)
+
+
+def weyl_dimension(f, k):
+    """Dimension of the U(k) representation f, by Weyl's formula."""
+    e = f.pad(k)
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    return prod(e[i] - e[j] + j - i for i, j in pairs) // prod(j - i for i, j in pairs)
 
 
 def random_unimodular(n, rng, shears=6, span=3):

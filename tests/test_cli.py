@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -351,3 +355,31 @@ class TestExitCodes:
     def test_rank_too_small_usage(self, capsys):
         code, _, _ = run(capsys, "decompose", "(2,1)", "--k", "1")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cgc", "(2,1)x(2,1) -> (3,2,1)", "--json"),  # fills the pipe buffer
+            ("multiplicity", "(2,1)x(2,1) -> (3,2,1)"),  # fails only at the flush
+        ],
+    )
+    def test_closed_stdout_exits_141(self, argv):
+        src = Path(__file__).resolve().parent.parent / "src"
+        # block-buffered stdout, so that the small output fails at the flush
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "tameprod.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env={**env, "PYTHONPATH": str(src)},
+                text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr

@@ -1,9 +1,12 @@
 import random
+from functools import reduce
+from math import prod
 
 import pytest
 
-from conftest import random_signature
-from tameprod.errors import NotSymmetric, RankTooSmall
+from conftest import random_signature, weyl_dimension
+from tameprod import lr_oracle
+from tameprod.errors import NotDominant, NotSymmetric, RankTooSmall, SelfCheckError
 from tameprod.lr_oracle import poly_mul, schur_decompose, schur_poly, schur_product_decompose
 from tameprod.signatures import SignedSpectrum, sig
 
@@ -132,3 +135,51 @@ class TestStraightening:
             schur_decompose({(-1,): 1}, 1)
         with pytest.raises(NotSymmetric):
             schur_decompose({(-1, -1): 1, (1, 1): 2}, 2)
+
+
+def full_product_decompose(factors, k):
+    """The oracle's former route: decompose the whole product polynomial."""
+    polys = [schur_poly(f, k) for f in factors]
+    return schur_decompose(reduce(poly_mul, polys, {(0,) * k: 1}), k)
+
+
+class TestFold:
+    def test_full_product_agreement(self):
+        # a draw whose product of factor dimensions at k exceeds the cap is
+        # skipped, to bound the full product polynomial
+        cap = 100_000
+        rng = random.Random(6031)
+        cases = 0
+        while cases < 100:
+            factors = [
+                random_signature(rng, max_entry=3, max_len=3, allow_empty=True)
+                for _ in range(rng.randint(0, 4))
+            ]
+            k = rng.randint(max((f.length for f in factors), default=0), 5)
+            if prod(weyl_dimension(f, k) for f in factors) > cap:
+                continue
+            assert schur_product_decompose(factors, k) == full_product_decompose(factors, k)
+            cases += 1
+
+    def test_empty_product(self):
+        for k in range(4):
+            assert schur_product_decompose([], k) == SignedSpectrum({sig(): 1})
+
+    def test_errors_in_factor_order(self):
+        with pytest.raises(RankTooSmall):
+            schur_product_decompose([sig(1), sig(1, 1, 1)], 2)
+        with pytest.raises(NotDominant):
+            schur_product_decompose([sig(1), sig(-1)], 2)
+        with pytest.raises(RankTooSmall):
+            schur_product_decompose([sig(1, 1, 1), sig(-1)], 2)
+        with pytest.raises(NotDominant):
+            schur_product_decompose([sig(-1), sig(1, 1, 1)], 2)
+
+    def test_negative_multiplicity_self_check(self, monkeypatch):
+        real = lr_oracle.schur_poly
+        # the negative of a character is no character
+        monkeypatch.setattr(
+            lr_oracle, "schur_poly", lambda m, k: {e: -c for e, c in real(m, k).items()}
+        )
+        with pytest.raises(SelfCheckError, match="negative multiplicity"):
+            schur_product_decompose([sig(2, 1), sig(1)], 3)

@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import pkgutil
 import subprocess
@@ -95,11 +96,16 @@ def test_scripts_run():
     assert "all stable spectra agree with the tableau oracle" in survey.stdout
 
 
-def test_record_bench_summary():
+def load_record_bench():
     path = ROOT / "scripts" / "record_bench.py"
     spec = importlib.util.spec_from_file_location("record_bench", path)
     record_bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(record_bench)
+    return record_bench
+
+
+def test_record_bench_summary():
+    record_bench = load_record_bench()
     runs = [
         {"correct": True, "attempted": 10, "failed": i // 4,
          "metrics": {"wall_s": {"value": x, "unit": "s"}}}
@@ -110,3 +116,34 @@ def test_record_bench_summary():
     assert out["metrics"]["wall_s"] == {
         "unit": "s", "median": 3.0, "q1": 2.0, "q3": 4.0, "values": [5.0, 1.0, 4.0, 2.0, 3.0]
     }
+
+
+def test_record_bench_layers(monkeypatch, tmp_path):
+    # after the end-to-end runs, one traced run per workload and side, at the
+    # first seed, whose per-layer metrics are recorded under "layers"
+    record_bench = load_record_bench()
+    calls = []
+
+    def fake_run_once(root, workload, seed, seconds, trace=0):
+        calls.append((root, workload, seed, trace))
+        name = "lr_oracle.self_s" if trace else "wall_s"
+        value = float(seed) if trace else 1.0 + seed
+        return {"correct": True, "attempted": 4, "failed": 0,
+                "metrics": {name: {"value": value, "unit": "s"}}}
+
+    monkeypatch.setattr(record_bench, "run_once", fake_run_once)
+    out = tmp_path / "bench.json"
+    assert record_bench.main(["--runs", "2", "--baseline", str(tmp_path), "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    traced = [c for c in calls if c[3] == 1]
+    assert sorted((w, root) for root, w, _, _ in traced) == sorted(
+        (w, root) for w in workloads for root in (ROOT, tmp_path.resolve())
+    )
+    assert {seed for _, _, seed, _ in traced} == {1}
+    assert calls[-len(traced):] == traced
+    for side in ("change", "baseline"):
+        for w in workloads:
+            summary = record[side]["workloads"][w]
+            assert summary["layers"] == {"lr_oracle.self_s": {"value": 1.0, "unit": "s"}}
+            assert summary["metrics"]["wall_s"]["values"] == [2.0, 3.0]

@@ -4,10 +4,10 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_signature
+from conftest import random_signature, weyl_dimension
 from tameprod import weyl_calculus
 from tameprod.errors import EmptyProduct, RankTooSmall, SelfCheckError
-from tameprod.lr_oracle import schur_poly, schur_product_decompose
+from tameprod.lr_oracle import schur_product_decompose
 from tameprod.signatures import SignedSpectrum, sig
 from tameprod.weyl_calculus import (
     compound_multiplier,
@@ -292,7 +292,22 @@ class TestOracleAgreement:
         while cases < 300:
             factors = [random_signature(rng, max_len=3) for _ in range(rng.randint(1, 4))]
             k = rng.randint(max(f.length for f in factors), 6)
-            if prod(sum(schur_poly(f, k).values()) for f in factors) > cap:
+            if prod(weyl_dimension(f, k) for f in factors) > cap:
+                continue
+            assert tensor_decompose(factors, k) == schur_product_decompose(factors, k)
+            cases += 1
+
+    def test_four_rows(self):
+        # up to 4 rows, entries up to 5, up to 4 factors, k up to 7, under a
+        # cap on the product of factor dimensions at k (Weyl's formula, so
+        # that skipped draws enumerate no tableaux)
+        cap = 100_000
+        rng = random.Random(5151)
+        cases = 0
+        while cases < 80:
+            factors = [random_signature(rng, max_entry=5, max_len=4) for _ in range(rng.randint(1, 4))]
+            k = rng.randint(max(f.length for f in factors), 7)
+            if prod(weyl_dimension(f, k) for f in factors) > cap:
                 continue
             assert tensor_decompose(factors, k) == schur_product_decompose(factors, k)
             cases += 1
