@@ -6,6 +6,13 @@ I against a dual state f* through the W half of the Fock pairing gives
 the embedded copy f~ of the corresponding target state inside the Z
 variables; pairing f~ against products of factor states reads off the
 Clebsch-Gordan coefficients.
+
+Tables never expand an invariant.  The contraction is linear in I, and for
+one generator monomial P^ell it is read off the exponent matrix
+(tilde_monomial): the W^beta coefficient of P^ell factors over the W rows,
+each row a sum over small tables of Z exponents weighted by multinomials.
+The direct route (cg_coefficient) pairs the expanded invariant instead and
+shares no code with it, so each checks the other.
 """
 
 from __future__ import annotations
@@ -14,9 +21,10 @@ import math
 from itertools import product
 
 from .errors import RowAllocationViolation, SpanViolation
-from .fock_pairing import pair, pair_truncated
+from .fock_pairing import pair
 from .linalg import solve_dict_system
-from .polynomials import MultiPoly, act_cols, apply_diff
+from .polynomials import MultiPoly, _dict_mul, act_cols, apply_diff, zvar
+from .signatures import compositions
 
 
 def tilde_map(invariant: MultiPoly, f_star: MultiPoly) -> MultiPoly:
@@ -27,6 +35,81 @@ def tilde_map(invariant: MultiPoly, f_star: MultiPoly) -> MultiPoly:
     """
     res = apply_diff(invariant, f_star, over=frozenset({"W"}))
     return res.drop_vars(lambda v: v.matrix == "W")
+
+
+def tilde_monomial(ell, f_star_terms: dict) -> dict:
+    """tilde_map(P^ell, f*).terms for the generator monomial P^ell, read off
+    the exponent matrix ell without expanding P^ell.
+
+    f_star_terms are the terms of a dual state in the W variables.  Each
+    term c W^beta contributes c beta! times the W^beta coefficient of P^ell,
+    which factors over the W rows b.  Row b is the product over a of
+    P[a,b]^ell[a][b] = (sum_t Z[a,t] W[b,t])^ell[a][b]; its part in
+    W[b,.]^beta[b] sums over tables n[a][t] with row sums ell[a][b] and
+    column sums beta[b][t] the Z monomial prod Z[a,t]^n[a][t], weighted by
+    prod_a multinomial(ell[a][b]; n[a][.]).  Only f*'s own columns appear,
+    so no rank is needed; a term whose W row degrees are not the column
+    sums of ell contributes nothing.
+    """
+    # column b of ell as its nonzero (Z row, degree) pairs, and its sum
+    cols = [
+        tuple((a, d) for a, d in enumerate(col, start=1) if d) for col in zip(*ell.rows)
+    ]
+    degrees = [sum(d for _, d in col) for col in cols]
+    rows: dict = {}
+    out: dict = {}
+    for mono, c in f_star_terms.items():
+        beta = [[] for _ in cols]
+        weight = c
+        for v, e in mono:
+            if v.row > len(cols):
+                break
+            beta[v.row - 1].append((v.col, e))
+            weight *= math.factorial(e)
+        else:
+            if [sum(e for _, e in row) for row in beta] != degrees:
+                continue
+            terms = {(): weight}
+            for col, row in zip(cols, beta):
+                if col:
+                    key = (col, tuple(row))
+                    if key not in rows:
+                        rows[key] = _row_contraction(col, row)
+                    terms = _dict_mul(terms, rows[key])
+            for m, x in terms.items():
+                out[m] = out.get(m, 0) + x
+    return {m: x for m, x in out.items() if x}
+
+
+def _row_contraction(col, row) -> dict:
+    """prod_a P[a,b]^d over col = ((a, d), ...), cut to the W row b monomial
+    with exponents row = ((t, e), ...) in columns t, as {Z monomial: weight}.
+
+    Tables n[a][t] are filled one Z row at a time, each a composition of d
+    under the column sums still open.  Distinct tables give distinct
+    monomials, built in sorted order (rows, then columns, ascending).  The
+    caller has checked that the d sum to the e, so the last row closes
+    every column.
+    """
+    ts = [t for t, _ in row]
+    out = {}
+
+    def fill(i, remaining, mono, weight):
+        if i == len(col):
+            out[mono] = weight
+            return
+        a, d = col[i]
+        for n in compositions(d, remaining):
+            w = math.factorial(d)
+            part = []
+            for t, x in zip(ts, n):
+                if x:
+                    w //= math.factorial(x)
+                    part.append((zvar(a, t), x))
+            fill(i + 1, [r - x for r, x in zip(remaining, n)], mono + tuple(part), weight * w)
+
+    fill(0, [e for _, e in row], (), 1)
+    return out
 
 
 def _check_factor_states(problem, factor_states):
@@ -60,14 +143,16 @@ def _check_states(problem, factor_states, f_star):
 def cg_coefficient(problem, invariant: MultiPoly, factor_states, f_star: MultiPoly):
     """<I | (state_1 ... state_r) f*>, the Clebsch-Gordan coefficient.
 
-    Computed directly through the truncated Fock pairing; equal to
-    <f~ | state_1 ... state_r> with f~ = tilde_map(invariant, f*).
+    Computed directly through the Fock pairing of the expanded invariant;
+    equal to <f~ | state_1 ... state_r> with f~ = tilde_map(invariant, f*).
+    The invariant may be expanded at any rank covering the states' columns:
+    a term using a higher column meets no term of the product.
     """
     _check_states(problem, factor_states, f_star)
     prod = f_star
     for s in factor_states:
         prod = prod * s
-    return pair_truncated(invariant, prod)
+    return pair(invariant, prod)
 
 
 def cg_coefficient_embedded(invariant: MultiPoly, factor_states, f_star: MultiPoly):
@@ -81,11 +166,14 @@ def cg_coefficient_embedded(invariant: MultiPoly, factor_states, f_star: MultiPo
 
 def cg_table(basis, factor_states, f_star: MultiPoly):
     """Clebsch-Gordan coefficients of every basis invariant on every pick
-    of one state per factor, read off one embedded state per invariant.
+    of one state per factor, read off the contraction of the basis with f*.
 
     factor_states[i] lists the states of factor i.  Returns one list per
     basis element, its values in the order of product(*factor_states);
-    each equals cg_coefficient on the same states.
+    each equals cg_coefficient on the same states.  No invariant is
+    expanded: each basis vector's embedded state f~ is the sum of its
+    coefficients times tilde_monomial of their P-monomials, each computed
+    once per call.
     """
     problem = basis.problem
     _check_factor_states(problem, factor_states)
@@ -102,11 +190,16 @@ def cg_table(basis, factor_states, f_star: MultiPoly):
             norm = math.prod(math.factorial(e) for _, e in mono)
             weights.append((mono, norm * math.prod(c for _, c in terms)))
         cells.append(weights)
-    # f~ only uses the columns of f*, so expanding there suffices
-    k = max(1, problem.q, f_star.max_col())
+    contracted: dict = {}
     table = []
-    for element in basis.iter_elements(k):
-        ftilde = tilde_map(element, f_star).terms
+    for vec in basis.vectors:
+        ftilde: dict = {}
+        for c, ell in zip(vec, basis.monomials):
+            if c:
+                if ell not in contracted:
+                    contracted[ell] = tilde_monomial(ell, f_star.terms)
+                for m, x in contracted[ell].items():
+                    ftilde[m] = ftilde.get(m, 0) + c * x
         table.append([sum(ftilde.get(m, 0) * w for m, w in cell) for cell in cells])
     return table
 

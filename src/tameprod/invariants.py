@@ -278,7 +278,9 @@ class InvariantBasis:
     def iter_elements(self, k: int | None = None):
         """Yield the expanded basis elements in order.  Each distinct
         P-monomial is expanded once, and its expansion is kept only while a
-        later element still uses it."""
+        later element still uses it.  The memo serves `elements()`, and
+        through it `invariants --show-polynomials`; Clebsch-Gordan tables
+        contract exponent matrices and expand nothing."""
         k = self._rank(k)
         uses = Counter(m for vec in self.vectors for c, m in zip(vec, self.monomials) if c)
         expanded: dict = {}

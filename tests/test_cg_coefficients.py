@@ -11,11 +11,18 @@ from tameprod.cg_coefficients import (
     cg_coefficient_embedded,
     cg_table,
     tilde_map,
+    tilde_monomial,
     verify_equivariance,
 )
 from tameprod.contragredient import lowest_weight_vector_check
 from tameprod.errors import RowAllocationViolation, SpanViolation
-from tameprod.invariants import TensorProblem, generator, invariant_basis
+from tameprod.invariants import (
+    TensorProblem,
+    diophantine_solutions,
+    generator,
+    invariant_basis,
+    monomial,
+)
 from tameprod.linalg import rank
 from tameprod.polynomials import MultiPoly, wvar, zvar
 from tameprod.signatures import sig
@@ -66,6 +73,86 @@ class TestTildeMap:
         prob, basis, f_star = worked()
         a, b = basis.element(0), basis.element(1)
         assert tilde_map(a + 2 * b, f_star) == tilde_map(a, f_star) + 2 * tilde_map(b, f_star)
+
+
+def contraction_matches_expansion(prob, f_stars, k):
+    """tilde_monomial equals tilde_map of the P-monomial expanded at rank k
+    on every exponent matrix of the problem and every dual state; returns
+    how many P-monomials gave a nonzero state, per dual state."""
+    nonzero = [0] * len(f_stars)
+    for ell in diophantine_solutions(prob):
+        expanded = monomial(prob, ell, k)
+        for i, f_star in enumerate(f_stars):
+            got = tilde_monomial(ell, f_star.terms)
+            assert got == tilde_map(expanded, f_star).terms
+            nonzero[i] += bool(got)
+    return nonzero
+
+
+def wrong_degrees(target):
+    """W row degrees of the target's weight, one unit moved down a row (or
+    added, for one row): a dual state of these degrees pairs with nothing."""
+    e = list(target.entries)
+    if len(e) >= 2:
+        e[0] -= 1
+        e[-1] += 1
+    else:
+        e[0] += 1
+    return e
+
+
+def rational_combination(rng, monos):
+    return sum(
+        (Fraction(rng.randint(1, 3), rng.randint(1, 3)) * m for m in monos), MultiPoly.zero()
+    )
+
+
+class TestTildeMonomial:
+    def test_matches_expansion_on_random_problems(self):
+        # 2-3 factors with entries <= 2 and <= 2 rows, targets from the
+        # stable spectrum; P-monomials expanded at rank k = q + 1
+        rng = random.Random(20261019)
+        done = 0
+        while done < 12:
+            factors = [random_signature(rng, 2, 2) for _ in range(rng.randint(2, 3))]
+            spectrum = sorted(stable_decompose(factors).items(), key=lambda t: t[0].entries)
+            target = rng.choice(spectrum)[0]
+            if sum(target.entries) > 5:
+                continue
+            prob = TensorProblem.build(factors, target)
+            k = prob.q + 1
+            lowest = lowest_weight_vector_check(target, prob.q)
+            # a few weight monomials at rank k, one of them using column k
+            monos = weight_monomials("W", target.entries, k)
+            picked = rng.sample(monos, min(5, len(monos)))
+            picked.append(rng.choice([m for m in monos if m.max_col() == k]))
+            wrong = weight_monomials("W", wrong_degrees(target), k)
+            f_stars = [
+                lowest,
+                rational_combination(rng, picked),
+                rational_combination(rng, rng.sample(wrong, min(4, len(wrong)))),
+            ]
+            lowest_count, combo_count, wrong_count = contraction_matches_expansion(
+                prob, f_stars, k
+            )
+            assert lowest_count > 0 and combo_count > 0 and wrong_count == 0
+            done += 1
+
+    def test_trivial_target(self):
+        prob = TensorProblem.build([sig()], sig())
+        assert len(diophantine_solutions(prob)) == 1
+        f_stars = [MultiPoly.const(Fraction(2, 3)), v(wvar(1, 1))]
+        assert contraction_matches_expansion(prob, f_stars, 1) == [1, 0]
+
+    def test_one_factor(self):
+        prob = TensorProblem.build([sig(2, 1)], sig(2, 1))
+        lowest = lowest_weight_vector_check(sig(2, 1), 2)
+        wrong = rational_combination(random.Random(3), weight_monomials("W", (1, 2), 3))
+        assert contraction_matches_expansion(prob, [lowest, wrong], 3) == [2, 0]
+
+    def test_worked_example(self):
+        prob, basis, f_star = worked()
+        assert contraction_matches_expansion(prob, [f_star], 2)[0] > 0
 
 
 class TestCgCoefficient:
@@ -175,7 +262,10 @@ class TestCgTable:
     def test_matches_direct_route_on_random_problems(self):
         # 2-3 factors with entries <= 2 and <= 2 rows, targets drawn from
         # the stable (Littlewood-Richardson) spectrum of the product; the
-        # table has full rank, one independent row per invariant
+        # table has full rank, one independent row per invariant.  The two
+        # routes share no expansion code: cg_table contracts exponent
+        # matrices (tilde_monomial), cg_coefficient pairs the invariant
+        # expanded by basis.element
         rng = random.Random(20261018)
         dimensions = []
         while len(dimensions) < 30:

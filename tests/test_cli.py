@@ -2,14 +2,16 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tameprod import cg_coefficients, cli, fock_pairing, weyl_calculus
+from tameprod import cg_coefficients, cli, weyl_calculus
 from tameprod.cli import main, parse_expression
 from tameprod.errors import ExpressionSyntaxError
+from tameprod.invariants import TensorProblem, invariant_basis
 from tameprod.signatures import SignedSpectrum, sig
 
 
@@ -243,26 +245,44 @@ class TestCgc:
         assert any(r["value"] != "0" for r in rows)
 
     def test_table_read_off_one_embedding_per_invariant(self, capsys, monkeypatch):
-        calls = {"tilde_map": 0, "pair_truncated": 0}
+        # the table contracts each distinct P-monomial of the basis with the
+        # dual state once, and neither expands nor pairs an invariant
+        calls = {"tilde_monomial": 0, "tilde_map": 0, "pair": 0}
 
-        def counting(name, fn):
+        def counting(name):
+            fn = getattr(cg_coefficients, name)
+
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return fn(*args, **kwargs)
 
             return wrapper
 
-        monkeypatch.setattr(
-            cg_coefficients, "tilde_map", counting("tilde_map", cg_coefficients.tilde_map)
-        )
-        # cg_coefficient looks pair_truncated up in its own module
-        wrapped = counting("pair_truncated", fock_pairing.pair_truncated)
-        monkeypatch.setattr(fock_pairing, "pair_truncated", wrapped)
-        monkeypatch.setattr(cg_coefficients, "pair_truncated", wrapped)
+        # cg_table and cg_coefficient look these up in their own module
+        for name in calls:
+            monkeypatch.setattr(cg_coefficients, name, counting(name))
         code, out, _ = run(capsys, "cgc", "(2,1)x(2,1) -> (3,2,1)", "--json")
         assert code == 0
         assert len(json.loads(out)) == 648
-        assert calls == {"tilde_map": 2, "pair_truncated": 0}
+        basis = invariant_basis(TensorProblem.build([sig(2, 1), sig(2, 1)], sig(3, 2, 1)))
+        used = {m for vec in basis.vectors for c, m in zip(vec, basis.monomials) if c}
+        assert sum(len([c for c in vec if c]) for vec in basis.vectors) > len(used)
+        assert calls == {"tilde_monomial": len(used), "tilde_map": 0, "pair": 0}
+
+    def test_former_slow_table(self, capsys):
+        # once about 27 s through expanded invariants; no time bound here
+        factors = [sig(1, 1), sig(1), sig(2, 1)]
+        target = sig(2, 1, 1, 1, 1)
+        code, out, _ = run(capsys, "cgc", "(1,1)x(1)x(2,1) -> (2,1,1,1,1)", "--json")
+        assert code == 0
+        rows = json.loads(out)
+        dimension = invariant_basis(TensorProblem.build(factors, target)).dimension
+        states = 1
+        for f in factors:
+            for d in f.entries:
+                states *= comb(target.length + d - 1, d)
+        assert len(rows) == dimension * states
+        assert any(r["value"] != "0" for r in rows)
 
     def test_row_allocation_violation_is_exit_1(self, capsys, monkeypatch):
         real = cli.weight_monomials
