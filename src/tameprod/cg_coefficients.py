@@ -12,7 +12,7 @@ one generator monomial P^ell it is read off the exponent matrix
 (tilde_monomial): the W^beta coefficient of P^ell factors over the W rows,
 each row a sum over small tables of Z exponents weighted by multinomials.
 The direct route (cg_coefficient) pairs the expanded invariant instead and
-shares no code with it, so each checks the other.
+shares no expansion code with the tables, so each checks the other.
 """
 
 from __future__ import annotations
