@@ -231,7 +231,12 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as e:
+            # --help prints and exits inside parse_args: flush here as well
+            sys.stdout.flush()
+            return e.code
         command, needs_target = _COMMANDS[args.command]
         factors, target = _parse_nonnegative(args.expr)
         if (target is not None) != needs_target:

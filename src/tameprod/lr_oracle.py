@@ -7,6 +7,7 @@ straightening.  A product of Schur polynomials is folded one factor at a
 time (Brauer-Klimyk): the spectrum so far, read as the polynomial
 sum c x^lambda, times the next Schur polynomial straightens to the spectrum
 with that factor added, so the full product polynomial is never built.
+The fold starts from the longest factor's lambda, which needs no tableaux.
 """
 
 from __future__ import annotations
@@ -53,12 +54,16 @@ def _schur_items(entries: tuple, k: int):
     return tuple(counts.items())
 
 
-def schur_poly(m: Signature, k: int) -> dict:
-    """Schur polynomial of m in k variables as {exponent tuple: coeff}."""
+def _check_factor(m: Signature, k: int) -> None:
     if k < m.length:
         raise RankTooSmall(f"k={k} below length of {m}")
     if m.entries and m.entries[-1] < 0:
         raise NotDominant(f"Schur polynomials need nonnegative signatures, got {m}")
+
+
+def schur_poly(m: Signature, k: int) -> dict:
+    """Schur polynomial of m in k variables as {exponent tuple: coeff}."""
+    _check_factor(m, k)
     return dict(_schur_items(m.entries, k))
 
 
@@ -112,11 +117,20 @@ def schur_product_decompose(factors, k: int) -> SignedSpectrum:
     Multiplying by a symmetric polynomial commutes with antisymmetrization,
     so s_lambda * s_mu * a_rho = A(x^(lambda + rho) * s_mu): each step
     straightens the spectrum so far times one Schur polynomial, with no
-    symmetry check.  Every step's spectrum is a character, so a negative
-    multiplicity raises SelfCheckError.
+    symmetry check.  The fold starts from the padded lambda of the longest
+    factor (the first of the longest, after every factor is checked in the
+    order given), so that factor's tableaux are never enumerated.  Every
+    step's spectrum is a character, so a negative multiplicity raises
+    SelfCheckError.
     """
-    spec = {(0,) * k: 1}
+    factors = list(factors)
     for m in factors:
+        _check_factor(m, k)
+    if not factors:
+        return SignedSpectrum({(0,) * k: 1})
+    first, *rest = sorted(factors, key=lambda m: -m.length)
+    spec = {first.pad(k): 1}
+    for m in rest:
         spec = _straighten(poly_mul(spec, schur_poly(m, k)), k)
         for lam, c in spec.items():
             if c < 0:

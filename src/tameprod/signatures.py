@@ -185,5 +185,13 @@ class SignedSpectrum:
         ]
 
     @classmethod
+    def from_entries(cls, terms) -> "SignedSpectrum":
+        """The spectrum of {canonical entry tuple: multiplicity}, zeros
+        dropped; the keys are distinct, so nothing is normalized or merged."""
+        spec = cls()
+        spec._terms = {Signature(t): m for t, m in terms.items() if m}
+        return spec
+
+    @classmethod
     def from_json_obj(cls, obj) -> "SignedSpectrum":
         return cls((normalize(t["signature"]), t["multiplicity"]) for t in obj)

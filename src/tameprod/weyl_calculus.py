@@ -4,11 +4,20 @@ A simple multiplier of order a adds a total of a boxes to a signature,
 at most s_i = beta_i - beta_{i+1} of them in row i+1 (the first row takes
 any number).  A compound multiplier for a signature alpha is the l x l
 determinant with (i, j) entry the simple multiplier of order
-alpha_i - i + j, expanded over permutations with sign and applied
-factor by factor (simple multipliers commute).  A horizontal strip starts
-at most one new row, so each simple multiplier is enumerated once per order,
-signature and whether a new row may start (k above the signature's length),
-and shared by every compound multiplier at every rank.
+alpha_i - i + j (simple multipliers commute).  It is expanded row by row
+over sets of used columns (Laplace expansion, Macdonald I.3): row i
+extends each set S by a column c not in S, with sign (-1)^#{s in S: s > c},
+so at most 2^l signed spectra are kept instead of l! permutation chains,
+and cancellation happens at each merge.  Inside the expansion spectra are
+keyed by plain entry tuples; Signatures are built once, at the return.  A
+horizontal strip starts at most one new row, so each simple multiplier is
+enumerated once per order, signature and whether a new row may start (k
+above the signature's length), and shared by every compound multiplier at
+every rank.
+
+A product is folded longest factor first: the longest factor is the start
+spectrum, and each later step takes the determinant of a factor no longer
+than it.
 
 The stabilization index takes one fold, at the bound k = sum of the factor
 lengths, where the sorted row union of the factors occurs exactly once (the
@@ -20,27 +29,26 @@ l(lambda) > k; so the index is read off as its longest signature.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
 
 from .errors import EmptyProduct, NotDominant, RankTooSmall, SelfCheckError
-from .linalg import perm_sign
 from .signatures import Signature, SignedSpectrum, compositions
 
 
-def _trimmed(entries) -> Signature:
+def _trimmed(entries) -> tuple:
     t = tuple(entries)
     while t and t[-1] == 0:
         t = t[:-1]
-    return Signature(t)
+    return t
 
 
 @lru_cache(maxsize=32768)
-def _apply_simple(order, beta: Signature, grow: bool) -> tuple[Signature, ...]:
-    """The signatures produced by one simple multiplier (each once); a new
-    row may start only if grow."""
+def _apply_simple(order, beta: tuple, grow: bool) -> tuple[tuple, ...]:
+    """The entry tuples (trailing zeros trimmed) produced by one simple
+    multiplier on the entry tuple beta, each once; a new row may start only
+    if grow."""
     if order < 0:
         return ()
-    b = beta.entries + (0,) if grow else beta.entries
+    b = beta + (0,) if grow else beta
     caps = ((order,) + tuple(x - y for x, y in zip(b, b[1:])))[: len(b)]
     return tuple(_trimmed(x + v for x, v in zip(b, nu)) for nu in compositions(order, caps))
 
@@ -49,7 +57,8 @@ def simple_multiplier(order: int, beta: Signature, k: int) -> SignedSpectrum:
     """Spectrum of the order-a simple multiplier applied to beta at rank k."""
     if k < beta.length:
         raise RankTooSmall(f"k={k} below length of {beta}")
-    return SignedSpectrum(dict.fromkeys(_apply_simple(order, beta, beta.length < k), 1))
+    strips = _apply_simple(order, beta.entries, beta.length < k)
+    return SignedSpectrum.from_entries(dict.fromkeys(strips, 1))
 
 
 @lru_cache(maxsize=16384)
@@ -59,46 +68,53 @@ def compound_multiplier(alpha: Signature, beta: Signature, k: int) -> SignedSpec
         raise RankTooSmall(f"k={k} below length of a factor")
     if (alpha.entries and alpha.entries[-1] < 0) or (beta.entries and beta.entries[-1] < 0):
         raise NotDominant("multipliers are defined for nonnegative signatures")
-    l = alpha.length
     a = alpha.entries
-    total: dict[Signature, int] = {}
-    for sigma in permutations(range(l)):
-        orders = [a[i] - i + sigma[i] for i in range(l)]
-        if any(o < 0 for o in orders):
-            continue
-        sign = perm_sign(sigma)
-        spec = {beta: 1}
-        for order in orders:
-            nxt: dict[Signature, int] = {}
-            for s, m in spec.items():
-                for out in _apply_simple(order, s, s.length < k):
-                    nxt[out] = nxt.get(out, 0) + m
-            spec = nxt
-            if not spec:
-                break
-        for s, m in spec.items():
-            total[s] = total.get(s, 0) + sign * m
-    result = SignedSpectrum(total)
-    if not result.is_nonnegative():
+    l = len(a)
+    # used-column bitmask -> {entry tuple: signed multiplicity}
+    states: dict[int, dict[tuple, int]] = {0: {beta.entries: 1}}
+    for i in range(l):
+        nxt: dict[int, dict[tuple, int]] = {}
+        for used, spec in states.items():
+            for c in range(l):
+                order = a[i] - i + c
+                if used >> c & 1 or order < 0:
+                    continue
+                sign = -1 if (used >> (c + 1)).bit_count() & 1 else 1
+                acc = nxt.setdefault(used | 1 << c, {})
+                for s, m in spec.items():
+                    m *= sign
+                    for out in _apply_simple(order, s, len(s) < k):
+                        acc[out] = acc.get(out, 0) + m
+        states = {}
+        for used, acc in nxt.items():
+            spec = {s: m for s, m in acc.items() if m}
+            if spec:
+                states[used] = spec
+    total = states.get((1 << l) - 1, {})
+    if any(m < 0 for m in total.values()):
         raise SelfCheckError(f"negative multiplicity in {alpha} x {beta} at k={k}")
-    return result
+    return SignedSpectrum.from_entries(total)
 
 
 def tensor_decompose(factors, k: int) -> SignedSpectrum:
-    """Left fold of compound multipliers over the factor list at rank k."""
+    """Fold of compound multipliers over the factors at rank k, longest
+    factor first (a stable sort, so equal lengths keep their order): each
+    later determinant is at most as large as the first factor's would be."""
     factors = list(factors)
     if not factors:
         raise EmptyProduct("no factors given")
     for f in factors:
         if k < f.length:
             raise RankTooSmall(f"k={k} below length of {f}")
-    running = SignedSpectrum({factors[0]: 1})
-    for alpha in factors[1:]:
-        acc: dict[Signature, int] = {}
+    first, *rest = sorted(factors, key=lambda f: -f.length)
+    running = SignedSpectrum({first: 1})
+    for alpha in rest:
+        acc: dict[tuple, int] = {}
         for s, m in running.items():
             for s2, m2 in compound_multiplier(alpha, s, k).items():
-                acc[s2] = acc.get(s2, 0) + m * m2
-        running = SignedSpectrum(acc)
+                e = s2.entries
+                acc[e] = acc.get(e, 0) + m * m2
+        running = SignedSpectrum.from_entries(acc)
     return running
 
 

@@ -1,4 +1,6 @@
 import random
+from functools import lru_cache
+from itertools import permutations
 from math import prod
 
 import pytest
@@ -6,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_signature, weyl_dimension
 from tameprod import weyl_calculus
-from tameprod.errors import EmptyProduct, RankTooSmall, SelfCheckError
+from tameprod.errors import EmptyProduct, NotDominant, RankTooSmall, SelfCheckError
+from tameprod.linalg import perm_sign
 from tameprod.lr_oracle import schur_product_decompose
 from tameprod.signatures import SignedSpectrum, sig
 from tameprod.weyl_calculus import (
@@ -113,6 +116,44 @@ class TestCompoundMultiplier:
         assert weyl_calculus._apply_simple.cache_info().misses == misses
 
 
+@lru_cache(maxsize=None)
+def strips(order, beta, k):
+    return tuple(simple_multiplier(order, beta, k))
+
+
+def permutation_sum(alpha, beta, k):
+    """The former compound_multiplier: the Jacobi-Trudi determinant summed
+    over all l! permutations, one chain of simple multipliers each."""
+    a = alpha.entries
+    total = {}
+    for sigma in permutations(range(len(a))):
+        spec = {beta: 1}
+        for i, c in enumerate(sigma):
+            nxt = {}
+            for s, m in spec.items():
+                for out in strips(a[i] - i + c, s, k):
+                    nxt[out] = nxt.get(out, 0) + m
+            spec = nxt
+        for s, m in spec.items():
+            total[s] = total.get(s, 0) + perm_sign(sigma) * m
+    return SignedSpectrum(total)
+
+
+class TestSubsetExpansion:
+    def test_equals_permutation_sum(self):
+        # alpha and beta of up to four rows, entries up to 4, k up to 7
+        rng = random.Random(7120)
+        for _ in range(300):
+            alpha = random_signature(rng, max_len=4, allow_empty=True)
+            beta = random_signature(rng, max_len=4, allow_empty=True)
+            k = rng.randint(max(alpha.length, beta.length, 1), 7)
+            assert compound_multiplier(alpha, beta, k) == permutation_sum(alpha, beta, k), (
+                alpha,
+                beta,
+                k,
+            )
+
+
 class TestTensorDecompose:
     def test_rank_two_spectrum(self):
         factors = [sig(1), sig(2), sig(2), sig(3)]
@@ -153,6 +194,16 @@ class TestTensorDecompose:
     def test_rank_too_small(self):
         with pytest.raises(RankTooSmall):
             tensor_decompose([sig(2, 1)], 1)
+
+    def test_errors_do_not_depend_on_fold_order(self):
+        # every factor's rank is checked before the fold; a negative factor
+        # is NotDominant wherever the longest-first sort puts it
+        for factors in permutations([sig(1), sig(1, 1, 1), sig(-1)]):
+            with pytest.raises(RankTooSmall):
+                tensor_decompose(factors, 2)
+        for factors in permutations([sig(2, 1), sig(-1)]):
+            with pytest.raises(NotDominant):
+                tensor_decompose(factors, 3)
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -311,3 +362,42 @@ class TestOracleAgreement:
                 continue
             assert tensor_decompose(factors, k) == schur_product_decompose(factors, k)
             cases += 1
+
+    def test_five_rows(self):
+        # up to 5 rows, entries up to 5, 2 to 4 factors, k up to 7, under a
+        # cap on the product of factor dimensions at k
+        cap = 1_000_000
+        rng = random.Random(5152)
+        cases = 0
+        while cases < 200:
+            factors = [random_signature(rng, max_entry=5, max_len=5) for _ in range(rng.randint(2, 4))]
+            k = rng.randint(max(f.length for f in factors), 7)
+            if prod(weyl_dimension(f, k) for f in factors) > cap:
+                continue
+            assert tensor_decompose(factors, k) == schur_product_decompose(factors, k)
+            cases += 1
+
+    def test_every_factor_order(self):
+        # 3 to 4 factors: all orders give one spectrum in both routes
+        cap = 20_000
+        rng = random.Random(5153)
+        cases = 0
+        while cases < 12:
+            factors = [random_signature(rng, max_entry=3, max_len=3) for _ in range(rng.randint(3, 4))]
+            k = rng.randint(max(f.length for f in factors), 5)
+            if prod(weyl_dimension(f, k) for f in factors) > cap:
+                continue
+            expected = tensor_decompose(factors, k)
+            for order in set(permutations(factors)):
+                assert tensor_decompose(order, k) == expected, (order, k)
+                assert schur_product_decompose(order, k) == expected, (order, k)
+            cases += 1
+
+    @pytest.mark.parametrize("k", [5, 7])
+    def test_four_row_product(self, k):
+        # the product that took 14 s (k=5) and 38 s (k=7) before the fold
+        # went longest first and expanded determinants by column subsets
+        factors = [sig(4, 2), sig(5, 2, 1), sig(5, 5, 4, 3)]
+        expected = schur_product_decompose(factors, k)
+        for order in permutations(factors):
+            assert tensor_decompose(order, k) == expected, order
