@@ -24,7 +24,7 @@ from .errors import RowAllocationViolation, SpanViolation
 from .fock_pairing import pair
 from .linalg import solve_dict_system
 from .polynomials import MultiPoly, _dict_mul, act_cols, apply_diff, zvar
-from .signatures import compositions
+from .signatures import tables
 
 
 def tilde_map(invariant: MultiPoly, f_star: MultiPoly) -> MultiPoly:
@@ -85,30 +85,23 @@ def _row_contraction(col, row) -> dict:
     """prod_a P[a,b]^d over col = ((a, d), ...), cut to the W row b monomial
     with exponents row = ((t, e), ...) in columns t, as {Z monomial: weight}.
 
-    Tables n[a][t] are filled one Z row at a time, each a composition of d
-    under the column sums still open.  Distinct tables give distinct
-    monomials, built in sorted order (rows, then columns, ascending).  The
-    caller has checked that the d sum to the e, so the last row closes
-    every column.
+    Each table n[a][t] of signatures.tables with row sums the d and column
+    sums the e gives the monomial prod Z[a,t]^n[a][t], weighted by
+    prod_a multinomial(d; n[a][.]).  Distinct tables give distinct
+    monomials, built in sorted order (rows, then columns, ascending).
     """
-    ts = [t for t, _ in row]
+    zs = [[zvar(a, t) for t, _ in row] for a, _ in col]
+    top = math.prod(math.factorial(d) for _, d in col)
     out = {}
-
-    def fill(i, remaining, mono, weight):
-        if i == len(col):
-            out[mono] = weight
-            return
-        a, d = col[i]
-        for n in compositions(d, remaining):
-            w = math.factorial(d)
-            part = []
-            for t, x in zip(ts, n):
+    for n in tables([d for _, d in col], [e for _, e in row]):
+        mono = []
+        bottom = 1
+        for vs, counts in zip(zs, n):
+            for v, x in zip(vs, counts):
                 if x:
-                    w //= math.factorial(x)
-                    part.append((zvar(a, t), x))
-            fill(i + 1, [r - x for r, x in zip(remaining, n)], mono + tuple(part), weight * w)
-
-    fill(0, [e for _, e in row], (), 1)
+                    bottom *= math.factorial(x)
+                    mono.append((v, x))
+        out[tuple(mono)] = top // bottom
     return out
 
 
@@ -135,11 +128,6 @@ def _check_dual(problem, f_star):
             raise RowAllocationViolation(f"dual state uses {v}, outside W rows 1..{problem.q}")
 
 
-def _check_states(problem, factor_states, f_star):
-    _check_factor_states(problem, [[s] for s in factor_states])
-    _check_dual(problem, f_star)
-
-
 def cg_coefficient(problem, invariant: MultiPoly, factor_states, f_star: MultiPoly):
     """<I | (state_1 ... state_r) f*>, the Clebsch-Gordan coefficient.
 
@@ -148,7 +136,8 @@ def cg_coefficient(problem, invariant: MultiPoly, factor_states, f_star: MultiPo
     The invariant may be expanded at any rank covering the states' columns:
     a term using a higher column meets no term of the product.
     """
-    _check_states(problem, factor_states, f_star)
+    _check_factor_states(problem, [[s] for s in factor_states])
+    _check_dual(problem, f_star)
     prod = f_star
     for s in factor_states:
         prod = prod * s

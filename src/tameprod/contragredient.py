@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .errors import RankTooSmall
+from .errors import NotDominant, RankTooSmall
 from .linalg import perm_sign
 from .polynomials import MultiPoly, Var, zvar
 from .signatures import Signature, normalize
@@ -42,7 +42,7 @@ def highest_weight_vector(m: Signature, row_offset: int = 0, k: int | None = Non
     if k < l:
         raise RankTooSmall(f"k={k} below length of {m}")
     if m.entries and m.entries[-1] < 0:
-        raise RankTooSmall(f"highest weight vectors need nonnegative labels, got {m}")
+        raise NotDominant(f"highest weight vectors need nonnegative labels, got {m}")
     poly = MultiPoly.const(1)
     for i in range(1, l + 1):
         e = m.entries[i - 1] - (m.entries[i] if i < l else 0)

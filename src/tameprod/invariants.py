@@ -11,23 +11,21 @@ matrices; expansion into Z/W variables happens only on demand.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import weyl_calculus
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
+    NotDominant,
     SelfCheckError,
     WeightMismatch,
 )
 from .linalg import column_shears, nullspace_primitive
 from .polynomials import MultiPoly, scale_cols, shear_cols, wvar, zvar
-from .signatures import Signature, compositions
+from .signatures import Signature, tables
 
 
-@lru_cache(maxsize=128)
 def generator(alpha: int, beta: int, k: int) -> MultiPoly:
     """P[alpha,beta] truncated to k columns: sum_t Z[alpha,t] W[beta,t]."""
     if alpha < 1 or beta < 1:
@@ -49,10 +47,6 @@ class ExponentMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(tuple(int(x) for x in r) for r in self.rows))
-
-    @property
-    def shape(self):
-        return (len(self.rows), len(self.rows[0]) if self.rows else 0)
 
     def row_sums(self):
         return tuple(sum(r) for r in self.rows)
@@ -103,9 +97,9 @@ class TensorProblem:
             raise DimensionMismatch("a tensor problem needs at least one factor")
         for f in factors:
             if f.entries and f.entries[-1] < 0:
-                raise DimensionMismatch(f"factors must be nonnegative, got {f}")
+                raise NotDominant(f"factors must be nonnegative, got {f}")
         if target.entries and target.entries[-1] < 0:
-            raise DimensionMismatch(f"target must be nonnegative, got {target}")
+            raise NotDominant(f"target must be nonnegative, got {target}")
         return cls(factors, target)
 
     @property
@@ -142,13 +136,6 @@ class TensorProblem:
         flat.extend(self.target.entries)
         return tuple(flat)
 
-    def factor_of_row(self, row: int) -> int:
-        """0-based index of the factor owning the given Z row."""
-        for i, off in enumerate(self.row_offsets):
-            if off < row <= off + self.row_alloc[i]:
-                return i
-        raise IndexOutOfRange(f"Z row {row} outside 1..{self.p}")
-
     def generator(self, alpha: int, beta: int, k: int) -> MultiPoly:
         if not 1 <= alpha <= self.p:
             raise IndexOutOfRange(f"alpha={alpha} outside 1..{self.p}")
@@ -164,25 +151,8 @@ def diophantine_solutions(problem: TensorProblem):
     entries; returned in ascending lexicographic order of the flattened
     matrix.
     """
-    row_sums = []
-    for f in problem.factors:
-        row_sums.extend(f.entries)
-    col_sums = list(problem.target.entries)
-    if sum(row_sums) != sum(col_sums):
-        return []
-
-    out = []
-
-    def fill(i, remaining, acc):
-        if i == len(row_sums):
-            if all(r == 0 for r in remaining):
-                out.append(ExponentMatrix(tuple(acc)))
-            return
-        for row in compositions(row_sums[i], remaining):
-            fill(i + 1, [r - v for r, v in zip(remaining, row)], acc + [row])
-
-    fill(0, col_sums, [])
-    return out
+    row_sums = [e for f in problem.factors for e in f.entries]
+    return [ExponentMatrix(t) for t in tables(row_sums, problem.target.entries)]
 
 
 def monomial(problem: TensorProblem, ell: ExponentMatrix, k: int) -> MultiPoly:
@@ -256,7 +226,13 @@ def unipotent_constraints(problem: TensorProblem, solutions):
 
 @dataclass
 class InvariantBasis:
-    """Integer basis of the covariant space in the P-monomial coordinates."""
+    """Integer basis of the covariant space in the P-monomial coordinates.
+
+    Each basis vector lists the coefficients of its invariant on the
+    P-monomials.  An element is expanded into Z/W variables only on demand,
+    one monomial at a time through `monomial`; Clebsch-Gordan tables
+    contract the exponent matrices and expand nothing.
+    """
 
     problem: TensorProblem
     monomials: list
@@ -268,44 +244,20 @@ class InvariantBasis:
 
     def element(self, i: int, k: int | None = None) -> MultiPoly:
         """Expand basis element i at rank k (default: the target length,
-        enough for the Fock pairing against the dual model)."""
-        return self._expand(i, self._rank(k), {}, Counter())
-
-    def elements(self, k: int | None = None) -> list:
-        """Expand every basis element, each distinct P-monomial once."""
-        return list(self.iter_elements(k))
-
-    def iter_elements(self, k: int | None = None):
-        """Yield the expanded basis elements in order.  Each distinct
-        P-monomial is expanded once, and its expansion is kept only while a
-        later element still uses it.  The memo serves `elements()`, and
-        through it `invariants --show-polynomials`; Clebsch-Gordan tables
-        contract exponent matrices and expand nothing."""
-        k = self._rank(k)
-        uses = Counter(m for vec in self.vectors for c, m in zip(vec, self.monomials) if c)
-        expanded: dict = {}
-        for i in range(self.dimension):
-            yield self._expand(i, k, expanded, uses)
-
-    def _rank(self, k: int | None) -> int:
-        return max(1, self.problem.q) if k is None else k
-
-    def _expand(self, i: int, k: int, expanded: dict, uses: Counter) -> MultiPoly:
-        """Basis element i at rank k, summed term by term.  `uses` counts
-        the uses of each P-monomial still to come; `expanded` holds the
-        expansions whose count is positive and is updated in place."""
+        enough for the Fock pairing against the dual model), summed term
+        by term over its P-monomials."""
+        if k is None:
+            k = max(1, self.problem.q)
         total: dict = {}
         for c, mono in zip(self.vectors[i], self.monomials):
             if c:
-                terms = expanded.pop(mono, None)
-                if terms is None:
-                    terms = monomial(self.problem, mono, k).terms
-                uses[mono] -= 1
-                if uses[mono] > 0:
-                    expanded[mono] = terms
-                for m, x in terms.items():
+                for m, x in monomial(self.problem, mono, k).terms.items():
                     total[m] = total.get(m, 0) + c * x
         return MultiPoly(total)
+
+    def elements(self, k: int | None = None) -> list:
+        """Expand every basis element at rank k."""
+        return [self.element(i, k) for i in range(self.dimension)]
 
     def combination_label(self, i: int) -> str:
         parts = []

@@ -279,36 +279,6 @@ class MultiPoly:
 
     __repr__ = __str__
 
-    def to_json_obj(self):
-        out = []
-        for mono, c in self._sorted_for_display():
-            out.append(
-                {
-                    "monomial": [
-                        {"matrix": v.matrix, "row": v.row, "col": v.col, "power": e}
-                        for v, e in mono
-                    ],
-                    "coefficient": str(Fraction(c)),
-                }
-            )
-        return out
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "MultiPoly":
-        terms: dict = {}
-        for t in obj:
-            mono = tuple(
-                sorted(
-                    (Var(v["matrix"], v["row"], v["col"]), v["power"])
-                    for v in t["monomial"]
-                )
-            )
-            c = Fraction(t["coefficient"])
-            if c.denominator == 1:
-                c = c.numerator
-            terms[mono] = terms.get(mono, 0) + c
-        return cls(terms)
-
 
 def weight_monomials(matrix: str, row_degrees, cmax: int, row_offset: int = 0):
     """All monomials in one matrix whose row row_offset+j has degree

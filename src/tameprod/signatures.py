@@ -101,6 +101,27 @@ def compositions(total: int, caps):
         yield ()
 
 
+def tables(row_sums, col_sums) -> list:
+    """Nonnegative integer tables with the given row and column sums, each a
+    tuple of rows, in ascending lexicographic order of the flattened table.
+
+    Rows are filled one at a time, each a composition of its sum under the
+    column sums still open.  Unequal totals give no table; equal totals
+    leave every column closed after the last row.
+    """
+    col_sums = tuple(col_sums)
+    if sum(row_sums) != sum(col_sums):
+        return []
+    partial = [((), col_sums)]
+    for total in row_sums:
+        partial = [
+            (rows + (row,), tuple([c - v for c, v in zip(room, row)]))
+            for rows, room in partial
+            for row in compositions(total, room)
+        ]
+    return [rows for rows, _ in partial]
+
+
 class SignedSpectrum:
     """Finitely supported integer combination of signatures.
 
@@ -154,9 +175,6 @@ class SignedSpectrum:
     def items(self):
         return self._terms.items()
 
-    def is_nonnegative(self) -> bool:
-        return all(m > 0 for m in self._terms.values())
-
     def sorted_terms(self):
         """Terms sorted lexicographically descending by signature entries."""
         return sorted(self._terms.items(), key=lambda t: t[0].entries, reverse=True)
@@ -191,7 +209,3 @@ class SignedSpectrum:
         spec = cls()
         spec._terms = {Signature(t): m for t, m in terms.items() if m}
         return spec
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "SignedSpectrum":
-        return cls((normalize(t["signature"]), t["multiplicity"]) for t in obj)

@@ -10,7 +10,7 @@ from tameprod.contragredient import (
     negate_signature,
     reversal,
 )
-from tameprod.errors import RankTooSmall
+from tameprod.errors import NotDominant, RankTooSmall
 from tameprod.invariants import diagonal_right_action
 from tameprod.linalg import matmul, transpose
 from tameprod.polynomials import MultiPoly, act_cols, act_rows, wvar, zvar
@@ -49,6 +49,12 @@ class TestHighestWeightVector:
     def test_rank_too_small(self):
         with pytest.raises(RankTooSmall):
             highest_weight_vector(sig(2, 1), k=1)
+
+    def test_negative_label_rejected(self):
+        with pytest.raises(NotDominant):
+            highest_weight_vector(sig(-1))
+        with pytest.raises(NotDominant):
+            lowest_weight_vector_check(sig(-1), 1)
 
     def test_diagonal_weight(self):
         # row action by diag(d) scales by prod d_i^{m_i}

@@ -12,6 +12,7 @@ from tameprod.signatures import (
     interleaves,
     normalize,
     sig,
+    tables,
 )
 
 
@@ -113,6 +114,52 @@ class TestCompositions:
         assert list(compositions(2, (2, 0, 1))) == [(1, 0, 1), (2, 0, 0)]
 
 
+def brute_tables(row_sums, col_sums):
+    n, m = len(row_sums), len(col_sums)
+    ranges = [range(min(row_sums[i], col_sums[j]) + 1) for i in range(n) for j in range(m)]
+    out = []
+    for flat in product(*ranges):
+        t = tuple(flat[i * m:(i + 1) * m] for i in range(n))
+        cols = tuple(sum(r[j] for r in t) for j in range(m))
+        if tuple(map(sum, t)) == row_sums and cols == col_sums:
+            out.append(t)
+    return out
+
+
+class TestTables:
+    def test_matches_brute_force_in_order(self):
+        # margins of a random 0/1 table, sometimes with one column sum moved
+        # so that the totals differ
+        rng = random.Random(11)
+        unequal = 0
+        for _ in range(200):
+            n, m = rng.randint(0, 3), rng.randint(0, 3)
+            t = [[rng.randint(0, 1) for _ in range(m)] for _ in range(n)]
+            row_sums = tuple(map(sum, t))
+            col_sums = tuple(sum(r[j] for r in t) for j in range(m))
+            if m and rng.random() < 0.25:
+                j = rng.randrange(m)
+                col_sums = col_sums[:j] + (col_sums[j] + 1,) + col_sums[j + 1:]
+            got = list(tables(row_sums, col_sums))
+            if sum(row_sums) != sum(col_sums):
+                unequal += 1
+                assert got == []
+            assert got == brute_tables(row_sums, col_sums), (row_sums, col_sums)
+            assert got == sorted(got, key=lambda t: [x for r in t for x in r])
+        assert unequal > 10
+
+    def test_edges(self):
+        assert list(tables((), ())) == [()]
+        assert list(tables((), (0, 0))) == [()]
+        assert list(tables((0, 0), ())) == [((), ())]
+        assert list(tables((1,), ())) == []
+        assert list(tables((), (1,))) == []
+        assert list(tables((2, 1), (1, 1))) == []
+        assert list(tables((0, 2), (1, 0, 1))) == [((0, 0, 0), (1, 0, 1))]
+        assert list(tables((1, 1), (1, 1))) == [((0, 1), (1, 0)), ((1, 0), (0, 1))]
+        assert list(tables([2], [2])) == [((2,),)]
+
+
 class TestSignedSpectrum:
     def test_accumulates_and_drops_zeros(self):
         s = SignedSpectrum([(sig(2), 1), (sig(2), -1), (sig(1, 1), 2)])
@@ -136,7 +183,8 @@ class TestSignedSpectrum:
 
     def test_json_round_trip(self):
         s = SignedSpectrum({sig(5, 3): 5, sig(4, 4): 2, sig(8): 1})
-        assert SignedSpectrum.from_json_obj(s.to_json_obj()) == s
+        obj = s.to_json_obj()
+        assert SignedSpectrum({tuple(t["signature"]): t["multiplicity"] for t in obj}) == s
 
     def test_json_shape(self):
         obj = SignedSpectrum({sig(7, 1): 3}).to_json_obj()

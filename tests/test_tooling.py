@@ -56,6 +56,15 @@ def test_caches_are_bounded():
     assert not unbounded, "unbounded caches: " + ", ".join(unbounded)
 
 
+def test_exports_resolve_once():
+    # a name deleted from the package but left in __all__ breaks
+    # `from tameprod import *`
+    names = tameprod.__all__
+    assert len(names) == len(set(names)), "names exported twice"
+    missing = [n for n in names if not hasattr(tameprod, n)]
+    assert not missing, "exported names missing from the package: " + ", ".join(missing)
+
+
 def test_traced_names_resolve():
     # bench/spans.py times the layers by name; a name it lists that the
     # package no longer has would break tracing
