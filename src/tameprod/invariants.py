@@ -4,7 +4,9 @@ The space of lowest-weight-covariant vectors for a tensor problem is cut
 out inside the span of monomials in the quadratic generators
 P[a,b] = sum_t Z[a,t] * W[b,t] by two requirements: the weight under the
 diagonal torus (a Diophantine system on exponent matrices) and annihilation
-by the unipotent polarizations.  For k >= min(p, q) the generators are
+by the unipotent polarizations.  The simple-root (adjacent-row) shears
+suffice: their commutators give every negative root, and a commutator of
+derivations kills what both kill.  For k >= min(p, q) the generators are
 algebraically independent, so the whole computation can run on exponent
 matrices; expansion into Z/W variables happens only on demand.
 """
@@ -53,16 +55,6 @@ class ExponentMatrix:
 
     def col_sums(self):
         return tuple(sum(col) for col in zip(*self.rows)) if self.rows else ()
-
-    def entry(self, a: int, b: int) -> int:
-        return self.rows[a - 1][b - 1]
-
-    def bumped(self, a_from: int, b_from: int, a_to: int, b_to: int) -> "ExponentMatrix":
-        """Move one unit from (a_from, b_from) to (a_to, b_to); 1-based."""
-        rows = [list(r) for r in self.rows]
-        rows[a_from - 1][b_from - 1] -= 1
-        rows[a_to - 1][b_to - 1] += 1
-        return ExponentMatrix(tuple(tuple(r) for r in rows))
 
     def label(self) -> str:
         parts = []
@@ -166,61 +158,67 @@ def monomial(problem: TensorProblem, ell: ExponentMatrix, k: int) -> MultiPoly:
 
 
 def unipotent_generators(problem: TensorProblem):
-    """One-parameter shears whose polarizations must kill an invariant.
+    """Simple-root shears whose polarizations must kill an invariant.
 
-    Yields ("Z", a, b): Z row a feeds row b (a below b in the same factor
-    block), and ("W", w1, w2): W row w1 feeds row w2 (w1 > w2), coming from
-    the strictly upper triangle of the reversed target block.
+    Yields ("Z", a + 1, a): Z row a+1 feeds row a of the same factor
+    block, and ("W", w + 1, w): W row w+1 feeds row w, from the reversed
+    target block; l - 1 shears for a block of length l.  They suffice: the
+    E[i+1,i] generate the strictly lower-triangular algebra, as
+    [E[i+2,i+1], E[i+1,i]] = E[i+2,i], their polarizations are derivations
+    that bracket as the E do, and a commutator of two derivations kills
+    whatever both kill.
     """
     for off, l in zip(problem.row_offsets, problem.row_alloc):
-        for b in range(1, l + 1):
-            for a in range(b + 1, l + 1):
-                yield ("Z", off + a, off + b)
-    for w2 in range(1, problem.q + 1):
-        for w1 in range(w2 + 1, problem.q + 1):
-            yield ("W", w1, w2)
+        for a in range(off + 1, off + l):
+            yield ("Z", a + 1, a)
+    for w in range(1, problem.q):
+        yield ("W", w + 1, w)
 
 
-def _polarize(ell: ExponentMatrix, gen):
-    """First-order action of one shear on a generator monomial.
+def _polarize(rows, gen):
+    """First-order action of one shear on the exponent rows of P^rows.
 
-    Returns [(image ExponentMatrix, integer coefficient)]: the shear sends
-    P^ell to P^ell + eps * sum(coeff * P^image) + O(eps^2).
-    """
+    Returns [(image rows, integer coefficient)]: the shear sends P^rows to
+    P^rows + eps * sum(coeff * P^image) + O(eps^2)."""
     kind, x, y = gen
     images = []
     if kind == "Z":
         # row x of Z gains eps * row y: P[x,b] -> P[x,b] + eps P[y,b]
-        for b in range(1, len(ell.rows[0]) + 1):
-            e = ell.entry(x, b)
+        src, dst = rows[x - 1], rows[y - 1]
+        for b, e in enumerate(src):
             if e:
-                images.append((ell.bumped(x, b, y, b), e))
+                image = list(rows)
+                image[x - 1] = src[:b] + (e - 1,) + src[b + 1 :]
+                image[y - 1] = dst[:b] + (dst[b] + 1,) + dst[b + 1 :]
+                images.append((tuple(image), e))
     else:
         # W row x gains eps * W row y: P[a,x] -> P[a,x] + eps P[a,y]
-        for a in range(1, len(ell.rows) + 1):
-            e = ell.entry(a, x)
+        for a, row in enumerate(rows):
+            e = row[x - 1]
             if e:
-                images.append((ell.bumped(a, x, a, y), e))
+                moved = list(row)
+                moved[x - 1] -= 1
+                moved[y - 1] += 1
+                images.append((rows[:a] + (tuple(moved),) + rows[a + 1 :], e))
     return images
 
 
 def unipotent_constraints(problem: TensorProblem, solutions):
     """Linear constraints forcing a combination of P^ell to be killed by
-    every shear; one row per (shear, image monomial) pair."""
+    every shear; one row per (shear, image monomial) pair.  Raises
+    WeightMismatch unless every P^ell has the problem's weight."""
     solutions = list(solutions)
-    if not solutions:
-        return []
-    weights = {(s.row_sums(), s.col_sums()) for s in solutions}
-    if len(weights) > 1:
-        raise WeightMismatch("monomials do not share a single weight")
+    weight = (problem.mu[: problem.p], problem.target.entries)
+    for s in solutions:
+        if (s.row_sums(), s.col_sums()) != weight or any(len(r) != problem.q for r in s.rows):
+            raise WeightMismatch(f"{s} is not of weight {problem.mu}")
     rows = []
     for gen in unipotent_generators(problem):
-        images: dict[ExponentMatrix, list] = {}
+        images: dict[tuple, list] = {}
         for j, sol in enumerate(solutions):
-            for image, coeff in _polarize(sol, gen):
+            for image, coeff in _polarize(sol.rows, gen):
                 images.setdefault(image, [0] * len(solutions))[j] += coeff
-        for image in sorted(images, key=lambda m: m.rows):
-            rows.append(images[image])
+        rows.extend(images[image] for image in sorted(images))
     return rows
 
 

@@ -14,6 +14,7 @@ from tameprod.errors import (
 from tameprod.invariants import (
     ExponentMatrix,
     TensorProblem,
+    _polarize,
     diagonal_right_action,
     diophantine_solutions,
     generator,
@@ -22,11 +23,18 @@ from tameprod.invariants import (
     unipotent_constraints,
     unipotent_generators,
 )
-from tameprod.linalg import contragredient_matrix, identity, invert, matmul, rref
+from tameprod.linalg import (
+    contragredient_matrix,
+    identity,
+    invert,
+    matmul,
+    nullspace_primitive,
+    rref,
+)
 from tameprod.lr_oracle import schur_product_decompose
 from tameprod.polynomials import MultiPoly, act_cols, act_rows, wvar, zvar
 from tameprod.signatures import normalize, sig
-from tameprod.weyl_calculus import multiplicity
+from tameprod.weyl_calculus import multiplicity, stable_decompose
 
 
 def v(x, e=1):
@@ -140,12 +148,26 @@ class TestUnipotentConstraints:
         assert ("Z", 2, 1) in gens
         assert ("W", 2, 1) in gens
         assert len(gens) == 2
+        # one simple-root shear per adjacent pair of rows in each block
+        prob = TensorProblem.build([sig(3, 2, 1), sig(1)], sig(4, 2, 1))
+        assert list(unipotent_generators(prob)) == [
+            ("Z", 2, 1), ("Z", 3, 2), ("W", 2, 1), ("W", 3, 2)
+        ]
 
     def test_weight_mismatch(self):
         prob = worked_problem()
         bad = ExponentMatrix(((1, 0), (2, 0), (2, 0), (3, 0)))
         with pytest.raises(WeightMismatch):
             unipotent_constraints(prob, [P1, bad])
+        # one weight, but not the problem's: wrong shape, wrong column sums
+        # (8,0,0), and rows of unequal length
+        for alone in (
+            ExponentMatrix(((1,),)),
+            ExponentMatrix(((1, 0, 0), (2, 0, 0), (2, 0, 0), (3, 0, 0))),
+            ExponentMatrix(((1, 0), (1, 1), (2, 0), (3, 0, 0))),
+        ):
+            with pytest.raises(WeightMismatch):
+                unipotent_constraints(prob, [alone])
 
     def test_matches_expanded_polarization(self):
         # first-order shear action computed on expanded polynomials must
@@ -164,12 +186,60 @@ class TestUnipotentConstraints:
                     deriv = MultiPoly.zero()
                     for c in range(1, k + 1):
                         deriv = deriv + v(wvar(b, c)) * poly.differentiate(wvar(a, c))
-                from tameprod.invariants import _polarize
-
                 expected = MultiPoly.zero()
-                for image, coeff in _polarize(ell, gen):
-                    expected = expected + coeff * monomial(prob, image, k)
+                for image, coeff in _polarize(ell.rows, gen):
+                    expected = expected + coeff * monomial(prob, ExponentMatrix(image), k)
                 assert deriv == expected
+
+
+def all_pairs_constraints(problem, solutions):
+    """The constraint rows from every negative root, not only the simple
+    ones: every a > b in each factor block and every w1 > w2 in the target
+    block, each image keyed and sorted as unipotent_constraints does."""
+    gens = []
+    for off, l in zip(problem.row_offsets, problem.row_alloc):
+        gens += [("Z", off + a, off + b) for b in range(1, l + 1) for a in range(b + 1, l + 1)]
+    q = problem.q
+    gens += [("W", w1, w2) for w2 in range(1, q + 1) for w1 in range(w2 + 1, q + 1)]
+    rows = []
+    for gen in gens:
+        images = {}
+        for j, sol in enumerate(solutions):
+            for image, coeff in _polarize(sol.rows, gen):
+                images.setdefault(image, [0] * len(solutions))[j] += coeff
+        rows += [images[m] for m in sorted(images)]
+    return rows
+
+
+class TestSimpleRootsSuffice:
+    def test_same_nullspace_as_all_pairs(self):
+        # the adjacent shears generate the others by commutators, so the
+        # all-pairs rows add equations but cut out the same nullspace
+        rng = random.Random(20261019)
+        seen = []
+        while len(seen) < 16:
+            factors = [
+                random_signature(rng, max_entry=3, max_len=3),
+                random_signature(rng, max_entry=2),
+            ]
+            if rng.random() < 0.5:
+                factors.append(random_signature(rng, max_entry=2, max_len=1))
+            spectrum = stable_decompose(factors)
+            targets = sorted(spectrum, key=str)
+            target = rng.choices(targets, weights=[spectrum[t] for t in targets])[0]
+            prob = TensorProblem.build(factors, target)
+            sols = diophantine_solutions(prob)
+            if len(sols) > 300:
+                continue
+            simple = unipotent_constraints(prob, sols)
+            full = all_pairs_constraints(prob, sols)
+            basis = nullspace_primitive(simple, len(sols))
+            assert basis == nullspace_primitive(full, len(sols))
+            assert len(basis) == spectrum[target]
+            longest = max(f.length for f in factors)
+            seen.append((longest, target.length, len(simple) < len(full), len(basis)))
+        assert any(l == 3 and q >= 3 and fewer for l, q, fewer, _ in seen)
+        assert max(d for *_, d in seen) >= 2
 
 
 class TestInvariantBasis:
@@ -230,13 +300,16 @@ class TestInvariantBasis:
             invariant_basis(worked_problem())
 
     def test_large_system_matches_oracle(self):
-        # 6539 constraint rows on 1363 exponent matrices, nullity 8
+        # 4488 simple-root constraint rows (6539 from every negative root)
+        # on 1363 exponent matrices, nullity 8
         factors, target = [sig(3, 2, 1), sig(2, 1), sig(1)], sig(4, 3, 2, 1)
         prob = TensorProblem.build(factors, target)
         basis = invariant_basis(prob)
         # a tableau multiplicity is stable once k reaches the target's length
         assert basis.dimension == 8 == schur_product_decompose(factors, target.length)[target]
-        for row in unipotent_constraints(prob, basis.monomials):
+        rows = unipotent_constraints(prob, basis.monomials)
+        assert len(basis.monomials) == 1363 and len(rows) == 4488
+        for row in rows:
             entries = [(j, x) for j, x in enumerate(row) if x]
             for vec in basis.vectors:
                 assert sum(x * vec[j] for j, x in entries) == 0
