@@ -217,7 +217,10 @@ def unipotent_constraints(problem: TensorProblem, solutions):
         images: dict[tuple, list] = {}
         for j, sol in enumerate(solutions):
             for image, coeff in _polarize(sol.rows, gen):
-                images.setdefault(image, [0] * len(solutions))[j] += coeff
+                row = images.get(image)
+                if row is None:
+                    row = images[image] = [0] * len(solutions)
+                row[j] += coeff
         rows.extend(images[image] for image in sorted(images))
     return rows
 

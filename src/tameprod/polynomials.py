@@ -188,9 +188,6 @@ class MultiPoly:
     def constant_term(self):
         return self.terms.get((), 0)
 
-    def coefficient(self, mono) -> Fraction | int:
-        return self.terms.get(tuple(sorted(mono)), 0)
-
     def substitute(self, mapping: dict) -> "MultiPoly":
         """Simultaneous substitution Var -> MultiPoly (others unchanged)."""
         if not mapping or not self.terms:

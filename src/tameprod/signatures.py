@@ -125,8 +125,8 @@ def tables(row_sums, col_sums) -> list:
 class SignedSpectrum:
     """Finitely supported integer combination of signatures.
 
-    Negative multiplicities are allowed transiently (inside determinant
-    expansions); genuine decompositions are nonnegative.
+    Negative multiplicities are allowed transiently; genuine
+    decompositions are nonnegative.
     """
 
     __slots__ = ("_terms",)

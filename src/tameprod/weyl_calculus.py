@@ -8,16 +8,17 @@ alpha_i - i + j (simple multipliers commute).  It is expanded row by row
 over sets of used columns (Laplace expansion, Macdonald I.3): row i
 extends each set S by a column c not in S, with sign (-1)^#{s in S: s > c},
 so at most 2^l signed spectra are kept instead of l! permutation chains,
-and cancellation happens at each merge.  Inside the expansion spectra are
-keyed by plain entry tuples; Signatures are built once, at the return.  A
-horizontal strip starts at most one new row, so each simple multiplier is
-enumerated once per order, signature and whether a new row may start (k
-above the signature's length), and shared by every compound multiplier at
-every rank.
+and cancellation happens at each merge.  The determinant is linear in the
+spectrum it acts on, so it is applied to a whole spectrum keyed by plain
+entry tuples at once.  A horizontal strip starts at most one new row, so
+each simple multiplier is enumerated once per order, signature and whether
+a new row may start (k above the signature's length), and shared by every
+determinant at every rank.
 
 A product is folded longest factor first: the longest factor is the start
-spectrum, and each later step takes the determinant of a factor no longer
-than it.
+spectrum, and each later factor's determinant, no larger than the first
+factor's would be, acts on the whole running spectrum of entry tuples.
+Signatures are built once, at the return.
 
 The stabilization index takes one fold, at the bound k = sum of the factor
 lengths, where the sorted row union of the factors occurs exactly once (the
@@ -61,17 +62,13 @@ def simple_multiplier(order: int, beta: Signature, k: int) -> SignedSpectrum:
     return SignedSpectrum.from_entries(dict.fromkeys(strips, 1))
 
 
-@lru_cache(maxsize=16384)
-def compound_multiplier(alpha: Signature, beta: Signature, k: int) -> SignedSpectrum:
-    """Decomposition of the product of alpha and beta at rank k."""
-    if k < beta.length or k < alpha.length:
-        raise RankTooSmall(f"k={k} below length of a factor")
-    if (alpha.entries and alpha.entries[-1] < 0) or (beta.entries and beta.entries[-1] < 0):
-        raise NotDominant("multipliers are defined for nonnegative signatures")
-    a = alpha.entries
+def _determinant(a: tuple, spectrum: dict, k: int) -> dict:
+    """The Jacobi-Trudi determinant of the entry tuple a applied to a
+    {entry tuple: multiplicity} spectrum at rank k, by used-column Laplace
+    expansion; raises SelfCheckError on a negative multiplicity."""
     l = len(a)
     # used-column bitmask -> {entry tuple: signed multiplicity}
-    states: dict[int, dict[tuple, int]] = {0: {beta.entries: 1}}
+    states: dict[int, dict[tuple, int]] = {0: spectrum}
     for i in range(l):
         nxt: dict[int, dict[tuple, int]] = {}
         for used, spec in states.items():
@@ -92,30 +89,39 @@ def compound_multiplier(alpha: Signature, beta: Signature, k: int) -> SignedSpec
                 states[used] = spec
     total = states.get((1 << l) - 1, {})
     if any(m < 0 for m in total.values()):
-        raise SelfCheckError(f"negative multiplicity in {alpha} x {beta} at k={k}")
-    return SignedSpectrum.from_entries(total)
+        raise SelfCheckError(f"negative multiplicity in the determinant of {a} at k={k}")
+    return total
+
+
+@lru_cache(maxsize=16384)
+def compound_multiplier(alpha: Signature, beta: Signature, k: int) -> SignedSpectrum:
+    """Decomposition of the product of alpha and beta at rank k."""
+    if k < beta.length or k < alpha.length:
+        raise RankTooSmall(f"k={k} below length of a factor")
+    if (alpha.entries and alpha.entries[-1] < 0) or (beta.entries and beta.entries[-1] < 0):
+        raise NotDominant("multipliers are defined for nonnegative signatures")
+    return SignedSpectrum.from_entries(_determinant(alpha.entries, {beta.entries: 1}, k))
 
 
 def tensor_decompose(factors, k: int) -> SignedSpectrum:
-    """Fold of compound multipliers over the factors at rank k, longest
+    """Fold of Jacobi-Trudi determinants over the factors at rank k, longest
     factor first (a stable sort, so equal lengths keep their order): each
-    later determinant is at most as large as the first factor's would be."""
+    later determinant acts on the whole running spectrum of entry tuples and
+    is at most as large as the first factor's would be."""
     factors = list(factors)
     if not factors:
         raise EmptyProduct("no factors given")
     for f in factors:
         if k < f.length:
             raise RankTooSmall(f"k={k} below length of {f}")
+    for f in factors:
+        if f.entries and f.entries[-1] < 0:
+            raise NotDominant("multipliers are defined for nonnegative signatures")
     first, *rest = sorted(factors, key=lambda f: -f.length)
-    running = SignedSpectrum({first: 1})
+    running = {first.entries: 1}
     for alpha in rest:
-        acc: dict[tuple, int] = {}
-        for s, m in running.items():
-            for s2, m2 in compound_multiplier(alpha, s, k).items():
-                e = s2.entries
-                acc[e] = acc.get(e, 0) + m * m2
-        running = SignedSpectrum.from_entries(acc)
-    return running
+        running = _determinant(alpha.entries, running, k)
+    return SignedSpectrum.from_entries(running)
 
 
 def stabilization_index(factors) -> int:

@@ -85,6 +85,10 @@ def test_traced_names_resolve():
                 missing.append(f"{layer}.{name}")
     assert sum(map(len, spans.LAYERS.values())) == 56
     assert not missing, "traced names missing from the package: " + ", ".join(missing)
+    # bench/run.py reads this cache on every traced round, and no library
+    # code needs it, so nothing else would notice if it went
+    compound = importlib.import_module("tameprod.weyl_calculus").compound_multiplier
+    assert hasattr(compound, "cache_info") and hasattr(compound, "cache_clear")
 
 
 def test_scripts_run():

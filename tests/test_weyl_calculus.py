@@ -92,16 +92,24 @@ class TestCompoundMultiplier:
         try:
             with pytest.raises(SelfCheckError):
                 compound_multiplier(sig(1, 1), sig(1), 3)
+            # the fold reads the same check off each step's total
+            with pytest.raises(SelfCheckError):
+                tensor_decompose([sig(2, 1), sig(1, 1)], 3)
         finally:
             compound_multiplier.cache_clear()
 
     def test_one_cached_strip_enumeration(self):
-        # every compound multiplier reads its simple multipliers from the one
-        # _apply_simple cache, and simple_multiplier keeps no cache of its own
-        compound_multiplier.cache_clear()
+        # every determinant reads its simple multipliers from the one
+        # _apply_simple cache: a second fold of the same product enumerates
+        # no strip again, and simple_multiplier keeps no cache of its own
+        factors = [sig(2, 1), sig(2, 1), sig(2, 1)]
         weyl_calculus._apply_simple.cache_clear()
-        tensor_decompose([sig(2, 1), sig(2, 1), sig(2, 1)], 4)
-        assert weyl_calculus._apply_simple.cache_info().hits > 0
+        tensor_decompose(factors, 4)
+        before = weyl_calculus._apply_simple.cache_info()
+        tensor_decompose(factors, 4)
+        after = weyl_calculus._apply_simple.cache_info()
+        assert after.misses == before.misses
+        assert after.hits > before.hits
         assert not hasattr(simple_multiplier, "cache_info")
 
     def test_strip_cache_is_rank_free(self):
@@ -154,6 +162,20 @@ class TestSubsetExpansion:
             )
 
 
+def per_term_fold(factors, k):
+    """The former tensor_decompose: longest factor first, one
+    compound_multiplier per running term, the spectrum rebuilt per step."""
+    first, *rest = sorted(factors, key=lambda f: -f.length)
+    running = SignedSpectrum({first: 1})
+    for alpha in rest:
+        acc = {}
+        for s, m in running.items():
+            for s2, m2 in compound_multiplier(alpha, s, k).items():
+                acc[s2] = acc.get(s2, 0) + m * m2
+        running = SignedSpectrum(acc)
+    return running
+
+
 class TestTensorDecompose:
     def test_rank_two_spectrum(self):
         factors = [sig(1), sig(2), sig(2), sig(3)]
@@ -204,6 +226,24 @@ class TestTensorDecompose:
         for factors in permutations([sig(2, 1), sig(-1)]):
             with pytest.raises(NotDominant):
                 tensor_decompose(factors, 3)
+        # a lone negative factor is checked too, though nothing multiplies it
+        with pytest.raises(NotDominant):
+            tensor_decompose([sig(-1)], 1)
+        with pytest.raises(NotDominant):
+            stable_decompose([sig(-1)])
+        with pytest.raises(NotDominant):
+            multiplicity([sig(-1)], sig(-1))
+
+    def test_matches_per_term_fold(self):
+        # the determinant is linear in the spectrum it acts on, so applying it
+        # to the whole running spectrum equals the former route of one
+        # compound_multiplier per running term; checked below, at and above
+        # the bound k = sum of the factor lengths
+        for factors in seeded_products(1818, 200):
+            lo = max(f.length for f in factors)
+            bound = sum(f.length for f in factors)
+            for k in range(max(lo, 1), bound + 2):
+                assert tensor_decompose(factors, k) == per_term_fold(factors, k), (factors, k)
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -327,13 +367,6 @@ class TestMultiplicity:
 
 
 class TestOracleAgreement:
-    def test_quick_sweep(self):
-        rng = random.Random(20260823)
-        for _ in range(60):
-            factors = [random_signature(rng) for _ in range(rng.randint(1, 3))]
-            k = rng.randint(2, 5)
-            assert tensor_decompose(factors, k) == schur_product_decompose(factors, k)
-
     def test_wider_ranges(self):
         # up to 3 rows, entries up to 4, up to 4 factors, k up to 6; a draw
         # whose product of factor dimensions at k exceeds the cap is skipped
