@@ -33,7 +33,7 @@ from .invariants import (
     unipotent_constraints,
 )
 from .polynomials import MultiPoly, Var, act_cols, act_rows, apply_diff, wvar, zvar
-from .signatures import Signature, SignedSpectrum, interleaves, normalize, sig
+from .signatures import Signature, SignedSpectrum, normalize, sig
 from .weyl_calculus import (
     compound_multiplier,
     multiplicity,
@@ -63,7 +63,6 @@ __all__ = [
     "diophantine_solutions",
     "generator",
     "highest_weight_vector",
-    "interleaves",
     "invariant_basis",
     "lowest_weight_vector_check",
     "monomial",

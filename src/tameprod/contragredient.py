@@ -10,46 +10,37 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .errors import NotDominant, RankTooSmall
 from .linalg import perm_sign
 from .polynomials import MultiPoly, Var, zvar
-from .signatures import Signature, normalize
+from .signatures import Signature, check_polynomial, normalize
 
 
 def reversal(k: int):
     return [[int(i + j == k - 1) for j in range(k)] for i in range(k)]
 
 
-def _minor_det(rows, cols) -> MultiPoly:
-    """Determinant of the Z submatrix on the given 1-based rows/columns."""
-    n = len(rows)
+def _leading_minor(n: int) -> MultiPoly:
+    """Determinant of the Z submatrix on rows and columns 1..n."""
     terms: dict = {}
     for sigma in permutations(range(n)):
-        mono = tuple(sorted((zvar(rows[i], cols[sigma[i]]), 1) for i in range(n)))
+        mono = tuple(sorted((zvar(i + 1, sigma[i] + 1), 1) for i in range(n)))
         terms[mono] = terms.get(mono, 0) + perm_sign(sigma)
     return MultiPoly(terms)
 
 
-def highest_weight_vector(m: Signature, row_offset: int = 0, k: int | None = None) -> MultiPoly:
+def highest_weight_vector(m: Signature) -> MultiPoly:
     """Product of powers of leading principal minors realizing weight m.
 
-    Uses Z rows row_offset+1 .. row_offset+len(m) and columns 1..len(m);
-    the i-th leading minor enters with exponent m_i - m_{i+1}.
+    Uses Z rows and columns 1..len(m); the i-th leading minor enters with
+    exponent m_i - m_{i+1}.
     """
+    check_polynomial((m,))
     l = m.length
-    if k is None:
-        k = l
-    if k < l:
-        raise RankTooSmall(f"k={k} below length of {m}")
-    if m.entries and m.entries[-1] < 0:
-        raise NotDominant(f"highest weight vectors need nonnegative labels, got {m}")
     poly = MultiPoly.const(1)
     for i in range(1, l + 1):
         e = m.entries[i - 1] - (m.entries[i] if i < l else 0)
         if e:
-            rows = [row_offset + r for r in range(1, i + 1)]
-            cols = list(range(1, i + 1))
-            poly = poly * (_minor_det(rows, cols) ** e)
+            poly = poly * (_leading_minor(i) ** e)
     return poly
 
 
@@ -59,9 +50,8 @@ def lowest_weight_vector_check(m: Signature, q: int) -> MultiPoly:
     The double reversal (rows and columns) cancels on labeled entries,
     so this is the highest-weight vector with Z renamed to W.
     """
-    if m.length > q:
-        raise RankTooSmall(f"q={q} below length of {m}")
-    f = highest_weight_vector(m, 0, q)
+    check_polynomial((m,), q)
+    f = highest_weight_vector(m)
     return f.rename_vars(lambda v: Var("W", v.row, v.col))
 
 

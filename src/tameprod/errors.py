@@ -6,19 +6,19 @@ class CalculusError(Exception):
 
 
 class NotDominant(CalculusError):
-    """An integer tuple is not weakly decreasing (or not canonical)."""
+    """An integer tuple is not weakly decreasing (or not canonical), or a
+    label with a negative entry was given where a polynomial label is
+    needed: a multiplier, a Schur polynomial, a highest-weight vector or a
+    tensor problem."""
 
 
 class MixedSigns(CalculusError):
     """A signature mixes strictly positive and strictly negative entries."""
 
 
-class TooShort(CalculusError):
-    """A padding length is smaller than the signature length."""
-
-
 class RankTooSmall(CalculusError):
-    """The column truncation k cannot hold a signature."""
+    """The rank k cannot hold a label: a rank-k computation or
+    Signature.pad(k) was given a label longer than k."""
 
 
 class EmptyProduct(CalculusError):

@@ -16,16 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import weyl_calculus
-from .errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    NotDominant,
-    SelfCheckError,
-    WeightMismatch,
-)
+from .errors import DimensionMismatch, IndexOutOfRange, SelfCheckError, WeightMismatch
 from .linalg import column_shears, nullspace_primitive
 from .polynomials import MultiPoly, scale_cols, shear_cols, wvar, zvar
-from .signatures import Signature, tables
+from .signatures import Signature, check_polynomial, tables
 
 
 def generator(alpha: int, beta: int, k: int) -> MultiPoly:
@@ -87,11 +81,7 @@ class TensorProblem:
         factors = tuple(factors)
         if not factors:
             raise DimensionMismatch("a tensor problem needs at least one factor")
-        for f in factors:
-            if f.entries and f.entries[-1] < 0:
-                raise NotDominant(f"factors must be nonnegative, got {f}")
-        if target.entries and target.entries[-1] < 0:
-            raise NotDominant(f"target must be nonnegative, got {target}")
+        check_polynomial(factors + (target,))
         return cls(factors, target)
 
     @property

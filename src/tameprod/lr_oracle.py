@@ -7,16 +7,18 @@ straightening.  A product of Schur polynomials is folded one factor at a
 time (Brauer-Klimyk): the spectrum so far, read as the polynomial
 sum c x^lambda, times the next Schur polynomial straightens to the spectrum
 with that factor added, so the full product polynomial is never built.
-The fold starts from the longest factor's lambda, which needs no tableaux.
+The fold starts from the largest factor's lambda, by degree and then
+length, which needs no tableaux; every other factor's tableaux grow with
+its entries.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import NotDominant, NotSymmetric, RankTooSmall, SelfCheckError
+from .errors import NotSymmetric, SelfCheckError
 from .linalg import perm_sign
-from .signatures import Signature, SignedSpectrum
+from .signatures import Signature, SignedSpectrum, check_polynomial
 
 
 def _tableau_weights(shape, k):
@@ -54,16 +56,9 @@ def _schur_items(entries: tuple, k: int):
     return tuple(counts.items())
 
 
-def _check_factor(m: Signature, k: int) -> None:
-    if k < m.length:
-        raise RankTooSmall(f"k={k} below length of {m}")
-    if m.entries and m.entries[-1] < 0:
-        raise NotDominant(f"Schur polynomials need nonnegative signatures, got {m}")
-
-
 def schur_poly(m: Signature, k: int) -> dict:
     """Schur polynomial of m in k variables as {exponent tuple: coeff}."""
-    _check_factor(m, k)
+    check_polynomial((m,), k)
     return dict(_schur_items(m.entries, k))
 
 
@@ -117,18 +112,17 @@ def schur_product_decompose(factors, k: int) -> SignedSpectrum:
     Multiplying by a symmetric polynomial commutes with antisymmetrization,
     so s_lambda * s_mu * a_rho = A(x^(lambda + rho) * s_mu): each step
     straightens the spectrum so far times one Schur polynomial, with no
-    symmetry check.  The fold starts from the padded lambda of the longest
-    factor (the first of the longest, after every factor is checked in the
-    order given), so that factor's tableaux are never enumerated.  Every
-    step's spectrum is a character, so a negative multiplicity raises
-    SelfCheckError.
+    symmetry check.  After every factor's rank and then every factor's sign
+    is checked, the fold starts from the padded lambda of the largest factor
+    (by degree and then length, the first of ties), so that factor's
+    tableaux are never enumerated.  Every step's spectrum is a
+    character, so a negative multiplicity raises SelfCheckError.
     """
     factors = list(factors)
-    for m in factors:
-        _check_factor(m, k)
+    check_polynomial(factors, k)
     if not factors:
         return SignedSpectrum({(0,) * k: 1})
-    first, *rest = sorted(factors, key=lambda m: -m.length)
+    first, *rest = sorted(factors, key=lambda m: (-m.degree, -m.length))
     spec = {first.pad(k): 1}
     for m in rest:
         spec = _straighten(poly_mul(spec, schur_poly(m, k)), k)

@@ -166,9 +166,6 @@ class MultiPoly:
                 base = _dict_mul(base, base)
         return MultiPoly(result)
 
-    def total_degree(self) -> int:
-        return max((sum(e for _, e in m) for m in self.terms), default=0)
-
     def variables(self):
         seen = set()
         for m in self.terms:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MixedSigns, NotDominant, TooShort
+from .errors import MixedSigns, NotDominant, RankTooSmall
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -45,7 +45,7 @@ class Signature:
     def pad(self, k: int) -> tuple[int, ...]:
         """Entries extended with zeros to length k."""
         if k < len(self.entries):
-            raise TooShort(f"cannot pad {self} to length {k}")
+            raise RankTooSmall(f"k={k} below length of {self}")
         return self.entries + (0,) * (k - len(self.entries))
 
     def __str__(self):
@@ -74,12 +74,18 @@ def sig(*entries) -> Signature:
     return normalize(entries)
 
 
-def interleaves(m: Signature, h: Signature) -> bool:
-    """True iff h_i >= m_i >= h_{i+1} for all i, with zero padding."""
-    l = max(m.length, h.length)
-    me = m.pad(l)
-    he = h.pad(l + 1)
-    return all(he[i] >= me[i] >= he[i + 1] for i in range(l))
+def check_polynomial(labels, k=None) -> None:
+    """Reject labels that no polynomial in the Z variables realizes: with a
+    rank k, a label longer than k raises RankTooSmall; then a label with a
+    negative entry (a contragredient) raises NotDominant.  Every rank is
+    checked before any sign, so the error does not depend on label order."""
+    if k is not None:
+        for m in labels:
+            if k < m.length:
+                raise RankTooSmall(f"k={k} below length of {m}")
+    for m in labels:
+        if m.entries and m.entries[-1] < 0:
+            raise NotDominant(f"polynomial labels are nonnegative, got {m}")
 
 
 def compositions(total: int, caps):

@@ -15,10 +15,13 @@ each simple multiplier is enumerated once per order, signature and whether
 a new row may start (k above the signature's length), and shared by every
 determinant at every rank.
 
-A product is folded longest factor first: the longest factor is the start
-spectrum, and each later factor's determinant, no larger than the first
-factor's would be, acts on the whole running spectrum of entry tuples.
-Signatures are built once, at the return.
+A product is folded largest factor first, by degree and then length: the
+largest factor is the start spectrum, and each later factor's determinant
+acts on the whole running spectrum of entry tuples.  A determinant runs
+simple multipliers of orders near its entries, and the spectra between its
+rows cancel only at its last row, so large entries cost nothing in the
+start spectrum and much in a determinant.  Signatures are built once, at
+the return.
 
 The stabilization index takes one fold, at the bound k = sum of the factor
 lengths, where the sorted row union of the factors occurs exactly once (the
@@ -31,8 +34,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import EmptyProduct, NotDominant, RankTooSmall, SelfCheckError
-from .signatures import Signature, SignedSpectrum, compositions
+from .errors import EmptyProduct, SelfCheckError
+from .signatures import Signature, SignedSpectrum, check_polynomial, compositions
 
 
 def _trimmed(entries) -> tuple:
@@ -56,8 +59,7 @@ def _apply_simple(order, beta: tuple, grow: bool) -> tuple[tuple, ...]:
 
 def simple_multiplier(order: int, beta: Signature, k: int) -> SignedSpectrum:
     """Spectrum of the order-a simple multiplier applied to beta at rank k."""
-    if k < beta.length:
-        raise RankTooSmall(f"k={k} below length of {beta}")
+    check_polynomial((beta,), k)
     strips = _apply_simple(order, beta.entries, beta.length < k)
     return SignedSpectrum.from_entries(dict.fromkeys(strips, 1))
 
@@ -96,28 +98,21 @@ def _determinant(a: tuple, spectrum: dict, k: int) -> dict:
 @lru_cache(maxsize=16384)
 def compound_multiplier(alpha: Signature, beta: Signature, k: int) -> SignedSpectrum:
     """Decomposition of the product of alpha and beta at rank k."""
-    if k < beta.length or k < alpha.length:
-        raise RankTooSmall(f"k={k} below length of a factor")
-    if (alpha.entries and alpha.entries[-1] < 0) or (beta.entries and beta.entries[-1] < 0):
-        raise NotDominant("multipliers are defined for nonnegative signatures")
+    check_polynomial((alpha, beta), k)
     return SignedSpectrum.from_entries(_determinant(alpha.entries, {beta.entries: 1}, k))
 
 
 def tensor_decompose(factors, k: int) -> SignedSpectrum:
-    """Fold of Jacobi-Trudi determinants over the factors at rank k, longest
-    factor first (a stable sort, so equal lengths keep their order): each
-    later determinant acts on the whole running spectrum of entry tuples and
-    is at most as large as the first factor's would be."""
+    """Fold of Jacobi-Trudi determinants over the factors at rank k, largest
+    factor first, by degree and then length (a stable sort, so ties keep
+    their order): the largest factor's entries go into the start spectrum,
+    and each later determinant acts on the whole running spectrum of entry
+    tuples."""
     factors = list(factors)
     if not factors:
         raise EmptyProduct("no factors given")
-    for f in factors:
-        if k < f.length:
-            raise RankTooSmall(f"k={k} below length of {f}")
-    for f in factors:
-        if f.entries and f.entries[-1] < 0:
-            raise NotDominant("multipliers are defined for nonnegative signatures")
-    first, *rest = sorted(factors, key=lambda f: -f.length)
+    check_polynomial(factors, k)
+    first, *rest = sorted(factors, key=lambda f: (-f.degree, -f.length))
     running = {first.entries: 1}
     for alpha in rest:
         running = _determinant(alpha.entries, running, k)
@@ -129,8 +124,6 @@ def stabilization_index(factors) -> int:
     in the spectrum at the bound k = sum of lengths, below which the
     spectrum is that one cut to lengths <= k."""
     factors = list(factors)
-    if not factors:
-        raise EmptyProduct("no factors given")
     spec = tensor_decompose(factors, sum(f.length for f in factors))
     union = Signature(tuple(sorted((x for f in factors for x in f.entries), reverse=True)))
     if spec[union] != 1:

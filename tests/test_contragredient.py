@@ -42,14 +42,6 @@ class TestHighestWeightVector:
         expected = v(zvar(1, 1), 6) * det
         assert highest_weight_vector(sig(7, 1)) == expected
 
-    def test_row_offset(self):
-        f = highest_weight_vector(sig(2), row_offset=3)
-        assert f == v(zvar(4, 1), 2)
-
-    def test_rank_too_small(self):
-        with pytest.raises(RankTooSmall):
-            highest_weight_vector(sig(2, 1), k=1)
-
     def test_negative_label_rejected(self):
         with pytest.raises(NotDominant):
             highest_weight_vector(sig(-1))

@@ -1,4 +1,5 @@
 import random
+import time
 from functools import reduce
 from math import prod
 
@@ -9,6 +10,7 @@ from tameprod import lr_oracle
 from tameprod.errors import NotDominant, NotSymmetric, RankTooSmall, SelfCheckError
 from tameprod.lr_oracle import poly_mul, schur_decompose, schur_poly, schur_product_decompose
 from tameprod.signatures import SignedSpectrum, sig
+from tameprod.weyl_calculus import tensor_decompose
 
 
 class TestSchurPoly:
@@ -172,8 +174,19 @@ class TestFold:
             schur_product_decompose([sig(1), sig(-1)], 2)
         with pytest.raises(RankTooSmall):
             schur_product_decompose([sig(1, 1, 1), sig(-1)], 2)
-        with pytest.raises(NotDominant):
+        # every rank is checked before any sign
+        with pytest.raises(RankTooSmall):
             schur_product_decompose([sig(-1), sig(1, 1, 1)], 2)
+
+    def test_fold_starts_from_largest_factor(self):
+        # (40,40) has 259,161 tableaux in 4 variables and (2,2) has 20, so the
+        # fold must start from (40,40) whichever order the factors come in
+        small, large = sig(2, 2), sig(40, 40)
+        expected = tensor_decompose([large, small], 4)
+        for factors in ([small, large], [large, small]):
+            start = time.perf_counter()
+            assert schur_product_decompose(factors, 4) == expected
+            assert time.perf_counter() - start < 1.0, factors
 
     def test_negative_multiplicity_self_check(self, monkeypatch):
         real = lr_oracle.schur_poly

@@ -4,15 +4,25 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from tameprod.errors import MixedSigns, NotDominant, TooShort
+from tameprod.contragredient import highest_weight_vector, lowest_weight_vector_check
+from tameprod.errors import MixedSigns, NotDominant, RankTooSmall
+from tameprod.invariants import TensorProblem
+from tameprod.lr_oracle import schur_poly, schur_product_decompose
 from tameprod.signatures import (
     Signature,
     SignedSpectrum,
     compositions,
-    interleaves,
     normalize,
     sig,
     tables,
+)
+from tameprod.weyl_calculus import (
+    compound_multiplier,
+    multiplicity,
+    simple_multiplier,
+    stabilization_index,
+    stable_decompose,
+    tensor_decompose,
 )
 
 
@@ -63,30 +73,59 @@ class TestPad:
         assert sig(7, 1).pad(2) == (7, 1)
 
     def test_too_short(self):
-        with pytest.raises(TooShort):
+        with pytest.raises(RankTooSmall):
             sig(7, 1).pad(1)
 
 
-class TestInterleaves:
-    def test_examples(self):
-        assert interleaves(sig(1), sig(2, 1))
-        assert interleaves(sig(2, 1), sig(2, 1))
-        assert not interleaves(sig(2, 2), sig(2, 1))
-        assert interleaves(sig(), sig(3))
-        assert not interleaves(sig(3), sig())
+# entry point -> (call on a list of labels at rank k, how many labels it
+# takes, or None for any number)
+ENTRY_POINTS = {
+    "simple_multiplier": (lambda ls, k: simple_multiplier(1, *ls, k), 1),
+    "compound_multiplier": (lambda ls, k: compound_multiplier(*ls, k), 2),
+    "tensor_decompose": (tensor_decompose, None),
+    "stabilization_index": (lambda ls, k: stabilization_index(ls), None),
+    "stable_decompose": (lambda ls, k: stable_decompose(ls), None),
+    "multiplicity": (lambda ls, k: multiplicity(ls, sig(1)), None),
+    "schur_poly": (lambda ls, k: schur_poly(*ls, k), 1),
+    "schur_product_decompose": (schur_product_decompose, None),
+    "highest_weight_vector": (lambda ls, k: highest_weight_vector(*ls), 1),
+    "lowest_weight_vector_check": (lambda ls, k: lowest_weight_vector_check(*ls, k), 1),
+    "TensorProblem.build": (lambda ls, k: TensorProblem.build(ls[:-1], ls[-1]), 2),
+    "Signature.pad": (lambda ls, k: ls[0].pad(k), 1),
+}
+TAKES_NO_RANK = {
+    "stabilization_index",
+    "stable_decompose",
+    "multiplicity",
+    "highest_weight_vector",
+    "TensorProblem.build",
+}
 
-    @given(decreasing_tuples(min_entry=0))
-    def test_reflexive(self, t):
-        m = normalize(t)
-        assert interleaves(m, m)
 
-    @given(decreasing_tuples(min_entry=0), st.integers(0, 4))
-    def test_row_added(self, t, extra):
-        # adding a new largest entry on top always dominates
-        m = normalize(t)
-        top = (m.entries[0] if m.entries else 0) + extra
-        h = normalize((top,) + m.entries)
-        assert interleaves(m, h)
+def label_orders(arity, fault, other):
+    """The fault alone, or beside another label in every order."""
+    if arity == 1:
+        return [[fault]]
+    return [[fault, other], [other, fault]]
+
+
+class TestOneErrorPerFault:
+    # Signature.pad pads any label, dual or not
+    @pytest.mark.parametrize("name", [n for n in ENTRY_POINTS if n != "Signature.pad"])
+    def test_negative_label(self, name):
+        call, arity = ENTRY_POINTS[name]
+        for labels in label_orders(arity, sig(-1), sig(2, 1)):
+            with pytest.raises(NotDominant):
+                call(labels, 3)
+
+    @pytest.mark.parametrize("name", [n for n in ENTRY_POINTS if n not in TAKES_NO_RANK])
+    def test_label_longer_than_rank(self, name):
+        # every rank is checked before any sign, so a negative label beside
+        # the long one changes nothing
+        call, arity = ENTRY_POINTS[name]
+        for labels in label_orders(arity, sig(1, 1, 1), sig(-1)):
+            with pytest.raises(RankTooSmall):
+                call(labels, 2)
 
 
 def brute_compositions(total, caps):

@@ -28,6 +28,26 @@ def test_no_assert_in_program_files():
     assert not found, "assert statements in program files: " + ", ".join(found)
 
 
+def test_every_error_type_is_raised():
+    # an error type that nothing raises documents a fault the program cannot
+    # report; a CalculusError subclass in errors.py must be raised in src/
+    path = ROOT / "src" / "tameprod" / "errors.py"
+    declared = {
+        node.name
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, ast.ClassDef) and node.name != "CalculusError"
+    }
+    raised = set()
+    for path in (ROOT / "src" / "tameprod").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    unraised = sorted(declared - raised)
+    assert not unraised, "error types never raised: " + ", ".join(unraised)
+
+
 def test_oracle_is_independent():
     # lr_oracle cross-checks weyl_calculus and the invariant dimensions, so it
     # may import neither
