@@ -15,13 +15,14 @@ each simple multiplier is enumerated once per order, signature and whether
 a new row may start (k above the signature's length), and shared by every
 determinant at every rank.
 
-A product is folded largest factor first, by degree and then length: the
-largest factor is the start spectrum, and each later factor's determinant
-acts on the whole running spectrum of entry tuples.  A determinant runs
-simple multipliers of orders near its entries, and the spectra between its
-rows cancel only at its last row, so large entries cost nothing in the
-start spectrum and much in a determinant.  Signatures are built once, at
-the return.
+A product is folded from the factor whose determinant would cost most: that
+factor is the start spectrum, and each later factor's determinant acts on
+the whole running spectrum of entry tuples.  A determinant of l rows keeps
+up to 2^l column subsets and runs simple multipliers of orders near its
+entries, whose terms cancel only at its last row, so its cost is estimated
+as 2^l * prod(a_i + 1): long factors and large entries both cost nothing in
+the start spectrum and much in a determinant.  Signatures are built once,
+at the return.
 
 The stabilization index takes one fold, at the bound k = sum of the factor
 lengths, where the sorted row union of the factors occurs exactly once (the
@@ -102,17 +103,24 @@ def compound_multiplier(alpha: Signature, beta: Signature, k: int) -> SignedSpec
     return SignedSpectrum.from_entries(_determinant(alpha.entries, {beta.entries: 1}, k))
 
 
+def _determinant_cost(f: Signature) -> int:
+    """The estimate 2^l * prod(a_i + 1) of the work of f's determinant."""
+    cost = 1 << f.length
+    for a in f.entries:
+        cost *= a + 1
+    return cost
+
+
 def tensor_decompose(factors, k: int) -> SignedSpectrum:
-    """Fold of Jacobi-Trudi determinants over the factors at rank k, largest
-    factor first, by degree and then length (a stable sort, so ties keep
-    their order): the largest factor's entries go into the start spectrum,
-    and each later determinant acts on the whole running spectrum of entry
-    tuples."""
+    """Fold of Jacobi-Trudi determinants over the factors at rank k, from the
+    factor of the costliest determinant (a stable sort, so ties keep their
+    order): its entries go into the start spectrum, and each later
+    determinant acts on the whole running spectrum of entry tuples."""
     factors = list(factors)
     if not factors:
         raise EmptyProduct("no factors given")
     check_polynomial(factors, k)
-    first, *rest = sorted(factors, key=lambda f: (-f.degree, -f.length))
+    first, *rest = sorted(factors, key=_determinant_cost, reverse=True)
     running = {first.entries: 1}
     for alpha in rest:
         running = _determinant(alpha.entries, running, k)

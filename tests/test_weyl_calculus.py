@@ -246,11 +246,15 @@ class TestTensorDecompose:
             for k in range(max(lo, 1), bound + 2):
                 assert tensor_decompose(factors, k) == per_term_fold(factors, k), (factors, k)
 
-    def test_fold_starts_from_largest_factor(self):
+    def test_fold_starts_from_costliest_determinant(self):
         # a determinant with entries near N runs strips of order near N, whose
-        # terms cancel only at its last row, so the fold must take the small
-        # factor's determinant whichever order the factors come in
+        # terms cancel only at its last row, and one of l rows keeps up to 2^l
+        # column subsets, so the fold must take the cheap factor's determinant
+        # whichever order the factors come in: large entries and long
+        # factors each start the fold
         cases = [
+            (sig(6, 6), sig(*[1] * 10)),
+            (sig(4, 3, 2, 1), sig(*[1] * 8)),
             (sig(2, 2), sig(3000, 3000)),
             (sig(2, 2, 2), sig(3000, 3000)),
             (sig(1), sig(3000000)),
