@@ -6,7 +6,9 @@ from math import prod
 import pytest
 
 from conftest import random_signature, weight_monomials
+from tameprod import cg_coefficients
 from tameprod.cg_coefficients import (
+    PackedDual,
     cg_coefficient,
     cg_coefficient_embedded,
     cg_table,
@@ -15,8 +17,9 @@ from tameprod.cg_coefficients import (
     verify_equivariance,
 )
 from tameprod.contragredient import lowest_weight_vector_check
-from tameprod.errors import RowAllocationViolation, SpanViolation
+from tameprod.errors import RowAllocationViolation, SelfCheckError, SpanViolation
 from tameprod.invariants import (
+    InvariantBasis,
     TensorProblem,
     diophantine_solutions,
     generator,
@@ -75,15 +78,34 @@ class TestTildeMap:
         assert tilde_map(a + 2 * b, f_star) == tilde_map(a, f_star) + 2 * tilde_map(b, f_star)
 
 
+def unpack(terms, dual):
+    """Packed {Z monomial: x}, in dual's layout, back to the sorted
+    ((Z var, exponent), ...) monomials of MultiPoly terms."""
+    field = (1 << dual.width) - 1
+    out = {}
+    for m, x in terms.items():
+        mono = []
+        slot = 0
+        while m:
+            if m & field:
+                a, t = divmod(slot, dual.ncols)
+                mono.append((zvar(a + 1, t + 1), m & field))
+            m >>= dual.width
+            slot += 1
+        out[tuple(mono)] = x
+    return out
+
+
 def contraction_matches_expansion(prob, f_stars, k):
     """tilde_monomial equals tilde_map of the P-monomial expanded at rank k
     on every exponent matrix of the problem and every dual state; returns
     how many P-monomials gave a nonzero state, per dual state."""
     nonzero = [0] * len(f_stars)
+    duals = [PackedDual(f_star.terms, prob.p) for f_star in f_stars]
     for ell in diophantine_solutions(prob):
         expanded = monomial(prob, ell, k)
         for i, f_star in enumerate(f_stars):
-            got = tilde_monomial(ell, f_star.terms)
+            got = unpack(tilde_monomial(ell, duals[i]), duals[i])
             assert got == tilde_map(expanded, f_star).terms
             nonzero[i] += bool(got)
     return nonzero
@@ -331,6 +353,170 @@ class TestCgTable:
             cg_table(basis, states[1:], f_star)
         with pytest.raises(RowAllocationViolation, match="dual state"):
             cg_table(basis, states, v(wvar(3, 1)))
+
+
+class TestPackedDual:
+    def test_layout(self):
+        # f* of degree 7 in columns 1..2: fields of bit_length(7) + 1 = 4 bits
+        dual = PackedDual({((wvar(1, 1), 6), (wvar(1, 2), 1)): 1}, 2)
+        assert (dual.ncols, dual.width, dual.top) == (2, 4, 7)
+        assert dual.pack(((zvar(1, 2), 1), (zvar(2, 1), 3))) == (1 << 4 | 3 << 8, 6)
+
+    def test_top_exponent_does_not_carry(self):
+        # the largest exponent a field holds fills every slot without
+        # reaching its neighbour; the sum of two such monomials still stays
+        # in its slots but sets their guard bits, which the check reads
+        dual = PackedDual({((wvar(1, 1), 6), (wvar(1, 2), 1)): 1}, 2)
+        top = (1 << (7).bit_length()) - 1
+        mono = tuple((zvar(a, t), top) for a in (1, 2) for t in (1, 2))
+        packed, norm = dual.pack(mono)
+        assert unpack({packed: 1}, dual) == {mono: 1}
+        assert norm == prod([5040] * 4)
+        dual.check([packed], "a test monomial")
+        doubled = tuple((v, 2 * top) for v, _ in mono)
+        assert unpack({packed + packed: 1}, dual) == {doubled: 1}
+        with pytest.raises(SelfCheckError, match="exceeds the packed field of 4 bits"):
+            dual.check([packed + packed], "a test monomial")
+
+    def test_unmeetable_terms_are_not_packed(self):
+        # a column beyond f*'s, or an exponent beyond the field, would land
+        # in another slot; f~ has neither, so such a term is dropped
+        dual = PackedDual({((wvar(1, 1), 6), (wvar(1, 2), 1)): 1}, 2)
+        assert dual.pack(((zvar(1, 3), 1),)) is None
+        assert dual.pack(((zvar(1, 1), 8),)) is None
+        with pytest.raises(SelfCheckError, match="exceeds the packed field"):
+            dual.check([dual.pack(((zvar(3, 1), 1),))[0]], "a test monomial")
+
+    def test_trivial_dual(self):
+        # f* = 1 for ()x()->(): degree 0, no columns, no slots
+        dual = PackedDual({(): 1}, 0)
+        assert (dual.ncols, dual.width, dual.top) == (0, 1, 0)
+        assert dual.pack(()) == (0, 1)
+        assert dual.pack(((zvar(1, 1), 1),)) is None
+        dual.check([0], "the constant")
+
+
+class TestCgTableChecks:
+    def test_each_row_contraction_once(self, monkeypatch):
+        # one table computes each (column of ell, W row of f*) contraction
+        # once, however many P-monomials and basis vectors share it
+        keys = []
+        row_contraction = cg_coefficients._row_contraction
+
+        def counting(col, row, dual):
+            keys.append((col, row))
+            return row_contraction(col, row, dual)
+
+        monkeypatch.setattr(cg_coefficients, "_row_contraction", counting)
+        prob = TensorProblem.build([sig(2, 1), sig(2, 1)], sig(3, 2, 1))
+        basis = invariant_basis(prob)
+        f_star = lowest_weight_vector_check(prob.target, prob.q)
+        table = cg_table(basis, factor_states(prob), f_star)
+        assert len(table) == 2 and len(table[0]) == 324
+        assert keys and len(keys) == len(set(keys))
+
+    def test_duplicated_vector_raises(self):
+        prob, basis, f_star = worked()
+        states = factor_states(prob)
+        v0, v1 = basis.vectors[0], basis.vectors[1]
+        for vectors in ([v0, v0], [v0, v1, [2 * x - 3 * y for x, y in zip(v0, v1)]]):
+            bad = InvariantBasis(prob, basis.monomials, vectors)
+            with pytest.raises(SelfCheckError, match="not independent"):
+                cg_table(bad, states, f_star)
+
+    def test_dual_of_another_type_gives_zeros(self):
+        # W[1,1]^7 W[2,1] has column weight (8,0), so it lies in the (8)
+        # part of the W polynomials and meets no invariant of target (7,1):
+        # every embedded state is zero, and the table is zero, not an error
+        prob, basis, f_star = worked()
+        other = v(wvar(1, 1), 7) * v(wvar(2, 1))
+        states = [s[:2] for s in factor_states(prob)]
+        assert cg_table(basis, states, other) == [[0] * 16] * 3
+        for i in range(basis.dimension):
+            inv = basis.element(i)
+            assert not any(cg_coefficient(prob, inv, list(p), other) for p in iproduct(*states))
+
+
+def assert_wide_table_matches_direct(prob, states):
+    """cg_table equals cg_coefficient cell by cell, the invariants expanded
+    at the largest column of the states; returns the table and the dual."""
+    basis = invariant_basis(prob)
+    f_star = lowest_weight_vector_check(prob.target, prob.q)
+    k = max([1] + [x.col for st in states for s in st for x in s.variables()])
+    table = cg_table(basis, states, f_star)
+    picks = list(iproduct(*states))
+    assert len(table) == basis.dimension
+    for i, values in enumerate(table):
+        inv = basis.element(i, k)
+        assert values == [cg_coefficient(prob, inv, list(p), f_star) for p in picks]
+    return basis, f_star, table
+
+
+class TestWideDifferential:
+    def test_random_problems_with_a_column_beyond_the_dual(self):
+        # 2-3 factors with entries <= 2 and <= 2 rows, half of the draws
+        # with an empty factor put in; the states use one column more than
+        # f*, and each cell with that column reads 0 on both routes
+        rng = random.Random(20261020)
+        dimensions = []
+        while len(dimensions) < 30:
+            factors = [random_signature(rng, 2, 2) for _ in range(rng.randint(2, 3))]
+            if rng.random() < 0.5:
+                factors.insert(rng.randint(0, len(factors)), sig())
+            spectrum = sorted(stable_decompose(factors).items(), key=lambda t: t[0].entries)
+            prob = TensorProblem.build(factors, rng.choice(spectrum)[0])
+            kx = max(1, prob.q)
+            states = [
+                weight_monomials("Z", f.entries, kx + 1, row_offset=off)
+                for f, off in zip(prob.factors, prob.row_offsets)
+            ]
+            if prod(map(len, states)) > 400:
+                continue
+            basis, _, table = assert_wide_table_matches_direct(prob, states)
+            beyond = [
+                j
+                for j, pick in enumerate(iproduct(*states))
+                if any(x.col > kx for s in pick for x in s.variables())
+            ]
+            assert all(row[j] == 0 for row in table for j in beyond)
+            dimensions.append(len(table))
+        assert max(dimensions) >= 2
+
+    def test_empty_factors_and_target(self):
+        prob = TensorProblem.build([sig(), sig()], sig())
+        _, _, table = assert_wide_table_matches_direct(prob, [[MultiPoly.const(1)]] * 2)
+        assert table == [[1]]
+        prob = TensorProblem.build([sig(2), sig()], sig(2))
+        _, _, table = assert_wide_table_matches_direct(prob, factor_states(prob))
+        assert len(table) == 1 and any(table[0])
+
+    def test_exponents_at_the_field_top(self):
+        # deg f* = 7 gives 4-bit fields holding exponents up to 7, and the
+        # embedded state of ()x(7) -> (7) is a multiple of Z[1,1]^7
+        prob = TensorProblem.build([sig(), sig(7)], sig(7))
+        states = [[MultiPoly.const(1)], weight_monomials("Z", (7,), 2)]
+        basis, f_star, table = assert_wide_table_matches_direct(prob, states)
+        dual = PackedDual(f_star.terms, prob.p)
+        assert dual.top == 7
+        (ell,) = [m for c, m in zip(basis.vectors[0], basis.monomials) if c]
+        assert list(unpack(tilde_monomial(ell, dual), dual)) == [((zvar(1, 1), 7),)]
+        assert table[0][0] != 0 and not any(table[0][1:])
+
+    def test_unmeetable_state_terms_do_not_alias(self):
+        # Z[1,3] would sit in Z[2,1]'s slot, making Z[1,2] Z[1,3] look like
+        # Z[1,2] Z[2,1], a monomial of f~; Z[1,1]^9 overflows a 3-bit field
+        # into Z[2,1]'s, making it look like Z[1,1] Z[2,1]
+        prob = TensorProblem.build([sig(1, 1)], sig(1, 1))
+        stray = v(zvar(1, 2)) * v(zvar(1, 3))
+        _, _, table = assert_wide_table_matches_direct(
+            prob, [[stray, v(zvar(1, 2)) * v(zvar(2, 1))]]
+        )
+        assert table[0][0] == 0 and table[0][1] != 0
+        prob = TensorProblem.build([sig(1), sig(1)], sig(2))
+        _, _, table = assert_wide_table_matches_direct(
+            prob, [[v(zvar(1, 1), 9), v(zvar(1, 1))], [MultiPoly.const(1), v(zvar(2, 1))]]
+        )
+        assert table[0][:3] == [0, 0, 0] and table[0][3] != 0
 
 
 class TestEquivariance:
