@@ -268,14 +268,16 @@ class TestCgCoefficient:
 
 
 def assert_table_matches_direct(prob, factor_states):
-    """Every cell of cg_table equals cg_coefficient on the same states."""
+    """Every cell of cg_table equals cg_coefficient on the same states, the
+    invariants expanded at the largest column of the states."""
     basis = invariant_basis(prob)
     f_star = lowest_weight_vector_check(prob.target, prob.q)
+    k = max([1] + [x.col for states in factor_states for s in states for x in s.variables()])
     table = cg_table(basis, factor_states, f_star)
     picks = list(iproduct(*factor_states))
     assert len(table) == basis.dimension
     for i, values in enumerate(table):
-        inv = basis.element(i)
+        inv = basis.element(i, k)
         assert values == [cg_coefficient(prob, inv, list(p), f_star) for p in picks]
     return table
 
@@ -437,21 +439,6 @@ class TestCgTableChecks:
             assert not any(cg_coefficient(prob, inv, list(p), other) for p in iproduct(*states))
 
 
-def assert_wide_table_matches_direct(prob, states):
-    """cg_table equals cg_coefficient cell by cell, the invariants expanded
-    at the largest column of the states; returns the table and the dual."""
-    basis = invariant_basis(prob)
-    f_star = lowest_weight_vector_check(prob.target, prob.q)
-    k = max([1] + [x.col for st in states for s in st for x in s.variables()])
-    table = cg_table(basis, states, f_star)
-    picks = list(iproduct(*states))
-    assert len(table) == basis.dimension
-    for i, values in enumerate(table):
-        inv = basis.element(i, k)
-        assert values == [cg_coefficient(prob, inv, list(p), f_star) for p in picks]
-    return basis, f_star, table
-
-
 class TestWideDifferential:
     def test_random_problems_with_a_column_beyond_the_dual(self):
         # 2-3 factors with entries <= 2 and <= 2 rows, half of the draws
@@ -472,7 +459,7 @@ class TestWideDifferential:
             ]
             if prod(map(len, states)) > 400:
                 continue
-            basis, _, table = assert_wide_table_matches_direct(prob, states)
+            table = assert_table_matches_direct(prob, states)
             beyond = [
                 j
                 for j, pick in enumerate(iproduct(*states))
@@ -484,10 +471,10 @@ class TestWideDifferential:
 
     def test_empty_factors_and_target(self):
         prob = TensorProblem.build([sig(), sig()], sig())
-        _, _, table = assert_wide_table_matches_direct(prob, [[MultiPoly.const(1)]] * 2)
+        table = assert_table_matches_direct(prob, [[MultiPoly.const(1)]] * 2)
         assert table == [[1]]
         prob = TensorProblem.build([sig(2), sig()], sig(2))
-        _, _, table = assert_wide_table_matches_direct(prob, factor_states(prob))
+        table = assert_table_matches_direct(prob, factor_states(prob))
         assert len(table) == 1 and any(table[0])
 
     def test_exponents_at_the_field_top(self):
@@ -495,8 +482,9 @@ class TestWideDifferential:
         # embedded state of ()x(7) -> (7) is a multiple of Z[1,1]^7
         prob = TensorProblem.build([sig(), sig(7)], sig(7))
         states = [[MultiPoly.const(1)], weight_monomials("Z", (7,), 2)]
-        basis, f_star, table = assert_wide_table_matches_direct(prob, states)
-        dual = PackedDual(f_star.terms, prob.p)
+        table = assert_table_matches_direct(prob, states)
+        basis = invariant_basis(prob)
+        dual = PackedDual(lowest_weight_vector_check(prob.target, prob.q).terms, prob.p)
         assert dual.top == 7
         (ell,) = [m for c, m in zip(basis.vectors[0], basis.monomials) if c]
         assert list(unpack(tilde_monomial(ell, dual), dual)) == [((zvar(1, 1), 7),)]
@@ -508,12 +496,12 @@ class TestWideDifferential:
         # into Z[2,1]'s, making it look like Z[1,1] Z[2,1]
         prob = TensorProblem.build([sig(1, 1)], sig(1, 1))
         stray = v(zvar(1, 2)) * v(zvar(1, 3))
-        _, _, table = assert_wide_table_matches_direct(
+        table = assert_table_matches_direct(
             prob, [[stray, v(zvar(1, 2)) * v(zvar(2, 1))]]
         )
         assert table[0][0] == 0 and table[0][1] != 0
         prob = TensorProblem.build([sig(1), sig(1)], sig(2))
-        _, _, table = assert_wide_table_matches_direct(
+        table = assert_table_matches_direct(
             prob, [[v(zvar(1, 1), 9), v(zvar(1, 1))], [MultiPoly.const(1), v(zvar(2, 1))]]
         )
         assert table[0][:3] == [0, 0, 0] and table[0][3] != 0
