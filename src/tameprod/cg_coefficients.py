@@ -283,8 +283,7 @@ def cg_table(basis, factor_states, f_star: MultiPoly):
                     ftilde[m] = ftilde.get(m, 0) + c * x
         ftildes.append(ftilde)
     if any(any(ft.values()) for ft in ftildes):
-        support = set().union(*ftildes)
-        if rank([[ft.get(m, 0) for m in support] for ft in ftildes]) != basis.dimension:
+        if rank(ftildes) != basis.dimension:
             raise SelfCheckError(
                 f"the {basis.dimension} embedded states of the basis are not independent"
             )

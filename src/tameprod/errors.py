@@ -52,8 +52,10 @@ class SpanViolation(CalculusError):
 class SelfCheckError(CalculusError):
     """An internal self-check failed: the invariant-basis dimension disagrees
     with the Weyl multiplicity, a multiplier or oracle spectrum has a
-    negative multiplicity, or the sorted row union of the factors does not
-    occur exactly once in the spectrum at the stabilization bound."""
+    negative multiplicity, the sorted row union of the factors does not
+    occur exactly once in the spectrum at the stabilization bound, a packed
+    exponent of a Clebsch-Gordan table outgrows its bit field, or the
+    embedded states of an invariant basis are not independent."""
 
 
 class ExpressionSyntaxError(CalculusError):

@@ -107,13 +107,14 @@ def perm_sign(p) -> int:
 def _integer_rows(matrix):
     """Distinct nonzero rows as primitive {col: int} dicts, leading entry > 0.
 
-    Each row is cleared of denominators by their lcm and divided by the gcd
-    of its entries, so rows that are rational multiples of each other
-    coincide and are kept once.
+    Rows are sequences or {int column: entry} mappings.  Each is cleared of
+    denominators by their lcm and divided by the gcd of its entries, so rows
+    that are rational multiples of each other coincide and are kept once.
     """
     seen = {}
     for row in matrix:
-        entries = {c: x for c, x in enumerate(row) if x}
+        items = sorted(row.items()) if hasattr(row, "items") else enumerate(row)
+        entries = {c: x for c, x in items if x}
         if not entries:
             continue
         den = lcm(*(x.denominator for x in entries.values()))
@@ -188,6 +189,7 @@ def rref(matrix):
 
 
 def rank(matrix) -> int:
+    """Rank of a matrix whose rows are sequences or {column: entry} mappings."""
     return len(_reduced_echelon(matrix))
 
 

@@ -9,13 +9,14 @@ rows below in reversed order, matching the block the group acts on.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import product
 from math import factorial
 from typing import NamedTuple
 
 from .errors import DimensionMismatch
+from .linalg import demote
+from .signatures import compositions
 
 
 class Var(NamedTuple):
@@ -277,15 +278,16 @@ class MultiPoly:
 def weight_monomials(matrix: str, row_degrees, cmax: int, row_offset: int = 0):
     """All monomials in one matrix whose row row_offset+j has degree
     row_degrees[j-1], in columns 1..cmax; returned as single-term MultiPoly
-    objects, the last row varying fastest."""
+    objects, the last row varying fastest, each row's exponent vectors in
+    descending lexicographic order (so row monomials join already sorted)."""
     per_row = [
         [
-            tuple(Counter(Var(matrix, row_offset + j, c) for c in combo).items())
-            for combo in combinations_with_replacement(range(1, cmax + 1), deg)
+            tuple((Var(matrix, row, c), e) for c, e in enumerate(exps, start=1) if e)
+            for exps in reversed(list(compositions(deg, (deg,) * cmax)))
         ]
-        for j, deg in enumerate(row_degrees, start=1)
+        for row, deg in enumerate(row_degrees, start=row_offset + 1)
     ]
-    return [MultiPoly({tuple(sorted(sum(pick, ()))): 1}) for pick in product(*per_row)]
+    return [MultiPoly({sum(pick, ()): 1}) for pick in product(*per_row)]
 
 
 def apply_diff(p: MultiPoly, f: MultiPoly, over=frozenset({"Z", "W"})) -> MultiPoly:
@@ -365,8 +367,7 @@ def shear_cols(f: MultiPoly, p: int, c: int, s) -> MultiPoly:
         for m, x in term.items():
             # s^n/n! D^n f is (s/n) times D of the previous term; it is
             # integral whenever f and s are
-            x = Fraction(x * s, n)
-            term[m] = x = x.numerator if x.denominator == 1 else x
+            term[m] = x = demote(Fraction(x * s, n))
             total[m] = total.get(m, 0) + x
 
 
@@ -385,7 +386,7 @@ def scale_cols(f: MultiPoly, d) -> MultiPoly:
                 weight[v.col] = weight.get(v.col, 0) - e
         for col, e in weight.items():
             coeff *= Fraction(d[col - 1]) ** e
-        out[mono] = coeff.numerator if coeff.denominator == 1 else coeff
+        out[mono] = demote(coeff)
     return MultiPoly(out)
 
 

@@ -39,13 +39,6 @@ from .errors import EmptyProduct, SelfCheckError
 from .signatures import Signature, SignedSpectrum, check_polynomial, compositions
 
 
-def _trimmed(entries) -> tuple:
-    t = tuple(entries)
-    while t and t[-1] == 0:
-        t = t[:-1]
-    return t
-
-
 @lru_cache(maxsize=32768)
 def _apply_simple(order, beta: tuple, grow: bool) -> tuple[tuple, ...]:
     """The entry tuples (trailing zeros trimmed) produced by one simple
@@ -55,7 +48,9 @@ def _apply_simple(order, beta: tuple, grow: bool) -> tuple[tuple, ...]:
         return ()
     b = beta + (0,) if grow else beta
     caps = ((order,) + tuple(x - y for x, y in zip(b, b[1:])))[: len(b)]
-    return tuple(_trimmed(x + v for x, v in zip(b, nu)) for nu in compositions(order, caps))
+    strips = (tuple([x + v for x, v in zip(b, nu)]) for nu in compositions(order, caps))
+    # beta's entries are positive, so only the started row can be zero
+    return tuple(t[:-1] if grow and not t[-1] else t for t in strips)
 
 
 def simple_multiplier(order: int, beta: Signature, k: int) -> SignedSpectrum:

@@ -134,6 +134,35 @@ class TestSolveDictSystem:
         assert solve_dict_system(basis, target) is None
 
 
+class TestMappingRows:
+    def test_equal_dense_route(self):
+        # {column: entry} rows, as cg_table passes its embedded states, give
+        # the rank and nullspace of the dense rows they stand for, whatever
+        # their insertion order, explicit zeros or column keys
+        rng = random.Random(23)
+        entries = [0, 0, 1, -2, 3, Fraction(1, 2), Fraction(-5, 3), Fraction(4, 6)]
+        for _ in range(300):
+            ncols = rng.randint(1, 6)
+            dense = [[rng.choice(entries) for _ in range(ncols)] for _ in range(rng.randint(0, 6))]
+            dense.insert(rng.randint(0, len(dense)), [0] * ncols)
+            mapped = []
+            for row in dense:
+                items = [(c, x) for c, x in enumerate(row) if x or rng.random() < 0.3]
+                rng.shuffle(items)
+                mapped.append(dict(items))
+            assert rank(mapped) == rank(dense)
+            assert nullspace_primitive(mapped, ncols) == nullspace_primitive(dense, ncols)
+            # sparse large keys in the columns' order, like packed monomials
+            keys = sorted(rng.sample(range(1 << 40), ncols))
+            packed = [{keys[c]: x for c, x in row.items()} for row in mapped]
+            assert rank(packed) == rank(dense)
+
+    def test_zero_key_and_empty_rows(self):
+        assert rank([{}, {0: 0}]) == 0
+        assert rank([{0: Fraction(1, 2)}, {0: 3}, {7: 1}]) == 2
+        assert nullspace_primitive([{0: Fraction(1, 2)}, {}], 2) == [(0, 1)]
+
+
 class TestMatmul:
     @pytest.mark.parametrize("n", range(0, 4))
     def test_identity(self, n):

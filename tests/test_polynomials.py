@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -239,3 +240,36 @@ class TestWeightMonomials:
                 assert var.matrix == "Z" and 1 <= var.col <= 3
                 degrees[var.row] = degrees.get(var.row, 0) + e
             assert degrees == {3: 2, 4: 1}
+
+    @pytest.mark.parametrize("matrix", ["Z", "W"])
+    @pytest.mark.parametrize(
+        "row_degrees, cmax, row_offset",
+        [
+            ((2, 0, 1), 3, 0),  # a zero-degree row between two others
+            ((3, 2), 1, 0),
+            ((0, 0), 0, 0),
+            ((0, 1), 0, 0),
+            ((1, 2), 2, 3),
+        ],
+    )
+    def test_order(self, matrix, row_degrees, cmax, row_offset):
+        # brute force: every exponent vector of a row with the row's degree,
+        # the vectors of each row in descending order, the last row varying
+        # fastest; the cgc table lists its states in this order
+        per_row = [
+            sorted((e for e in product(range(deg + 1), repeat=cmax) if sum(e) == deg), reverse=True)
+            for deg in row_degrees
+        ]
+        expected = [
+            {
+                tuple(sorted(
+                    (Var(matrix, row_offset + j, c), x)
+                    for j, exps in enumerate(pick, start=1)
+                    for c, x in enumerate(exps, start=1)
+                    if x
+                )): 1
+            }
+            for pick in product(*per_row)
+        ]
+        got = weight_monomials(matrix, row_degrees, cmax, row_offset)
+        assert [m.terms for m in got] == expected

@@ -7,11 +7,16 @@ import inspect
 import json
 import os
 import pkgutil
+import re
+import shlex
 import subprocess
 import sys
+from contextlib import redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import tameprod
+from tameprod import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -127,6 +132,29 @@ def test_scripts_run():
     survey = run("scripts/stability_survey.py", "--seed", "1", "--cases", "2")
     assert survey.returncode == 0, survey.stderr
     assert "all stable spectra agree with the tableau oracle" in survey.stdout
+
+
+def test_readme_cli_examples():
+    # each "# -> ..." comment of README's CLI block, with its "#    ..."
+    # continuation lines, is the stdout of the command it follows
+    text = (ROOT / "README.md").read_text()
+    (block,) = [b for b in re.findall(r"```sh\n(.*?)```", text, re.S) if "tameprod decompose" in b]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("tameprod "):
+            command, _, said = line.partition("# -> ")
+            examples.append((shlex.split(command)[1:], [said.strip()] if said else []))
+        elif line.startswith("# -> "):
+            examples[-1][1].append(line.removeprefix("# -> ").strip())
+        elif line.startswith("#    ") and examples and examples[-1][1]:
+            examples[-1][1].append(line.removeprefix("#    ").strip())
+    checked = [(argv, lines) for argv, lines in examples if lines]
+    assert [argv[0] for argv, _ in checked] == ["decompose", "multiplicity", "stabilize"]
+    for argv, lines in checked:
+        out = StringIO()
+        with redirect_stdout(out):
+            assert cli.main(argv) == 0
+        assert out.getvalue().splitlines() == lines, argv
 
 
 def load_record_bench():
